@@ -17,11 +17,13 @@ race:
 vet:
 	$(GO) vet ./...
 
-# bench: micro-benchmarks + the full experiment suite, merged into one
-# BENCH.json (wall clock per experiment, simulated events/sec, packets/sec,
-# allocations, headline figure metrics).
+# bench: figure and per-layer micro-benchmarks + the full experiment suite,
+# merged into one BENCH.json (wall clock per experiment, simulated
+# events/sec, packets/sec, allocations, headline figure metrics).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem | tee gobench.txt
+	$(GO) test -run '^$$' -bench 'LAPICInjectAckEOI|TranslateDMA|RouteDMA' -benchmem \
+		./internal/interrupts/ ./internal/iommu/ ./internal/pcie/ | tee -a gobench.txt
 	$(GO) run ./cmd/sriovsim -all -parallel 0 -q -gobench gobench.txt -bench-out BENCH.json > /dev/null
 	@echo "wrote BENCH.json"
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/migration"
+	"repro/internal/nic"
 	"repro/internal/obs"
 	"repro/internal/units"
 )
@@ -137,3 +138,33 @@ func TestMigrationTerminationChecks(t *testing.T) {
 type errFake struct{}
 
 func (errFake) Error() string { return "fake abort" }
+
+// TestCTRLResetKeepsRingConservation resets a VF through its CTRL register
+// while packets occupy its ring: the wiped packets must be accounted as
+// reset drops, as a hardware reset accounts them, or the ring-conservation
+// identity breaks.
+func TestCTRLResetKeepsRingConservation(t *testing.T) {
+	tb, g, _ := chaosRig(t, 42)
+	q := g.VF.Queue()
+	now := units.Time(200 * units.Millisecond)
+	tb.Eng.RunUntil(now)
+	for q.Occupied() == 0 {
+		if now > units.Time(units.Second) {
+			t.Fatal("the VF ring never held a packet")
+		}
+		now += units.Time(10 * units.Microsecond)
+		tb.Eng.RunUntil(now)
+	}
+	occupied := q.Occupied()
+	q.Function().MMIOWrite(0, nic.RegCTRL, nic.CtrlReset)
+	if q.Occupied() != 0 || q.Stats.ResetDropped < int64(occupied) {
+		t.Fatalf("CTRL reset left occupied=%d, reset_dropped=%d; want 0 and ≥ %d",
+			q.Occupied(), q.Stats.ResetDropped, occupied)
+	}
+	g.VF.Reinit()
+	tb.Eng.RunUntil(now + units.Time(100*units.Millisecond))
+	tb.StopAll()
+	if vs := chaos.AuditTestbed(tb); len(vs) != 0 {
+		t.Fatalf("CTRL reset with %d packets in the ring violated invariants: %v", occupied, vs)
+	}
+}

@@ -5,7 +5,10 @@
 // optimizes.
 package interrupts
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Vector is an x86 interrupt vector (32-255 usable).
 type Vector uint8
@@ -93,8 +96,8 @@ func (a *Allocator) Allocated() int { return len(a.owner) }
 // (in service) and the EOI register. The HVM guest's virtual LAPIC is an
 // instance of this, emulated by the hypervisor.
 type LAPIC struct {
-	irr [256]bool
-	isr [256]bool
+	irr vectorSet
+	isr vectorSet
 	// EOICount counts EOI writes (each one is an APIC-access VM-exit when
 	// this LAPIC is virtual).
 	EOICount int64
@@ -102,13 +105,31 @@ type LAPIC struct {
 	SpuriousEOI int64
 }
 
+// vectorSet is a 256-bit register, one bit per vector, as the hardware
+// IRR and ISR are: vector v is bit v%64 of word v/64.
+type vectorSet [4]uint64
+
+func (s *vectorSet) has(v Vector) bool { return s[v>>6]&(1<<(v&63)) != 0 }
+func (s *vectorSet) set(v Vector)      { s[v>>6] |= 1 << (v & 63) }
+func (s *vectorSet) clear(v Vector)    { s[v>>6] &^= 1 << (v & 63) }
+
+// highest reports the highest vector in the set, or -1 if it is empty.
+func (s *vectorSet) highest() int {
+	for w := len(s) - 1; w >= 0; w-- {
+		if x := s[w]; x != 0 {
+			return w<<6 | (63 - bits.LeadingZeros64(x))
+		}
+	}
+	return -1
+}
+
 // Inject sets the vector pending in the IRR. It reports whether the vector
 // was newly pended (false if it was already pending — interrupt merging).
 func (l *LAPIC) Inject(v Vector) bool {
-	if l.irr[v] {
+	if l.irr.has(v) {
 		return false
 	}
-	l.irr[v] = true
+	l.irr.set(v)
 	return true
 }
 
@@ -118,11 +139,11 @@ func (l *LAPIC) Inject(v Vector) bool {
 // highest in-service vector — a pending vector in the *same* class must
 // wait for the EOI even if its number is higher.
 func (l *LAPIC) Pending() (Vector, bool) {
-	hp := l.highest(&l.irr)
+	hp := l.irr.highest()
 	if hp < 0 {
 		return 0, false
 	}
-	if hs := l.highest(&l.isr); hs >= 0 && hs>>4 >= hp>>4 {
+	if hs := l.isr.highest(); hs >= 0 && hs>>4 >= hp>>4 {
 		return 0, false
 	}
 	return Vector(hp), true
@@ -136,8 +157,8 @@ func (l *LAPIC) Ack() (Vector, bool) {
 	if !ok {
 		return 0, false
 	}
-	l.irr[v] = false
-	l.isr[v] = true
+	l.irr.clear(v)
+	l.isr.set(v)
 	return v, true
 }
 
@@ -147,29 +168,20 @@ func (l *LAPIC) Ack() (Vector, bool) {
 // interrupt", §5.2). It returns the next deliverable vector, if any.
 func (l *LAPIC) EOI() (next Vector, ok bool) {
 	l.EOICount++
-	hs := l.highest(&l.isr)
+	hs := l.isr.highest()
 	if hs < 0 {
 		l.SpuriousEOI++
 		return 0, false
 	}
-	l.isr[hs] = false
+	l.isr.clear(Vector(hs))
 	return l.Pending()
 }
 
 // InService reports whether v is currently in service.
-func (l *LAPIC) InService(v Vector) bool { return l.isr[v] }
+func (l *LAPIC) InService(v Vector) bool { return l.isr.has(v) }
 
 // IRRSet reports whether v is pending.
-func (l *LAPIC) IRRSet(v Vector) bool { return l.irr[v] }
-
-func (l *LAPIC) highest(set *[256]bool) int {
-	for v := 255; v >= 0; v-- {
-		if set[v] {
-			return v
-		}
-	}
-	return -1
-}
+func (l *LAPIC) IRRSet(v Vector) bool { return l.irr.has(v) }
 
 // EventChannelPort identifies one Xen event channel.
 type EventChannelPort int

@@ -19,23 +19,20 @@ type IRTE struct {
 // ProgramIRTE installs (or replaces) the remap entry allowing rid to signal
 // vector.
 func (u *IOMMU) ProgramIRTE(vector uint8, rid uint16) {
-	if u.irte == nil {
-		u.irte = make(map[uint8]IRTE)
-	}
 	u.irte[vector] = IRTE{Vector: vector, RID: rid, Present: true}
 	u.Counters.Add("irte_programmed", 1)
 }
 
 // ClearIRTE removes the entry for vector.
 func (u *IOMMU) ClearIRTE(vector uint8) {
-	delete(u.irte, vector)
+	u.irte[vector] = IRTE{}
 	u.Counters.Add("irte_cleared", 1)
 }
 
 // IRTEFor reports the entry for a vector.
 func (u *IOMMU) IRTEFor(vector uint8) (IRTE, bool) {
-	e, ok := u.irte[vector]
-	return e, ok
+	e := u.irte[vector]
+	return e, e.Present
 }
 
 // ValidateMSI checks an interrupt message against the remapping table:
@@ -43,15 +40,15 @@ func (u *IOMMU) IRTEFor(vector uint8) (IRTE, bool) {
 // entry exists at all the interrupt is rejected too — remapping is
 // all-or-nothing once enabled.
 func (u *IOMMU) ValidateMSI(rid uint16, vector uint8) error {
-	e, ok := u.irte[vector]
-	if !ok {
-		u.Counters.Add("msi_blocked", 1)
+	e := u.irte[vector]
+	if !e.Present {
+		u.msiBlocked.Add(1)
 		return fmt.Errorf("iommu: no interrupt-remap entry for vector %d", vector)
 	}
 	if e.RID != rid {
-		u.Counters.Add("msi_blocked", 1)
+		u.msiBlocked.Add(1)
 		return fmt.Errorf("iommu: vector %d belongs to rid %#04x, signalled by %#04x", vector, e.RID, rid)
 	}
-	u.Counters.Add("msi_remapped", 1)
+	u.msiRemapped.Add(1)
 	return nil
 }

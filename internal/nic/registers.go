@@ -117,6 +117,9 @@ func (q *Queue) regWrite(off uint64, val uint64) {
 		if val&CtrlReset != 0 {
 			// Device reset: drop the ring, disable interrupts, clear
 			// throttle state. The driver re-initializes afterwards.
+			// The wiped packets are accounted, as ResetHW does, so ring
+			// conservation survives a driver-issued reset.
+			q.Stats.ResetDropped += int64(q.occupied)
 			q.occupied = 0
 			q.occBytes = 0
 			q.arrivals.reset()

@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/units"
 )
@@ -130,8 +129,18 @@ func (h *Hist) ObserveN(d units.Duration, n int64) {
 	if h == nil || n <= 0 {
 		return
 	}
-	i := sort.Search(len(h.bounds), func(i int) bool { return d <= h.bounds[i] })
-	h.counts[i] += n
+	// Bucket: the first bound >= d, or the overflow bucket past the last.
+	// The same choice as sort.Search, spelled out with no closure.
+	lo, hi := 0, len(h.bounds)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if d <= h.bounds[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	h.counts[lo] += n
 	h.total += n
 	h.sum += d * units.Duration(n)
 	if d > h.max {

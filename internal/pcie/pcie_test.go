@@ -242,7 +242,7 @@ func TestFunctionHooks(t *testing.T) {
 	}
 }
 
-func buildSRIOVDevice(t *testing.T, name string, numVFs int) (*Device, *Function) {
+func buildSRIOVDevice(t testing.TB, name string, numVFs int) (*Device, *Function) {
 	t.Helper()
 	pf := NewFunction(name, MakeRID(0, 0, 0), 0x8086, 0x10c9)
 	pf.SetBARSize(0, 0x20000)
@@ -289,7 +289,7 @@ func TestDeviceVFLifecycle(t *testing.T) {
 	}
 }
 
-func buildFabric(t *testing.T) (*Fabric, *Device, *Function, *Device, *Function) {
+func buildFabric(t testing.TB) (*Fabric, *Device, *Function, *Device, *Function) {
 	t.Helper()
 	f := NewFabric()
 	rp := f.AddRootPort("rp0")

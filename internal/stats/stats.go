@@ -13,47 +13,80 @@ import (
 )
 
 // Counters is a set of named monotonically increasing int64 counters.
-// The zero value is ready to use after a call to Init, or use NewCounters.
+// The zero value is ready to use, or use NewCounters.
 type Counters struct {
-	m map[string]int64
+	m map[string]*Counter
+}
+
+// Counter is one named counter of a Counters set. A hot path resolves it
+// once with Counters.Counter and then adds without hashing the name.
+type Counter struct {
+	v int64
+	// touched reports an Add since creation or the last Reset; only
+	// touched counters are listed by Names, Snapshot and String.
+	touched bool
+}
+
+// Add increments the counter by delta.
+func (k *Counter) Add(delta int64) {
+	k.v += delta
+	k.touched = true
 }
 
 // NewCounters returns an empty counter set.
-func NewCounters() *Counters { return &Counters{m: make(map[string]int64)} }
+func NewCounters() *Counters { return &Counters{m: make(map[string]*Counter)} }
 
-// Add increments the named counter by delta.
-func (c *Counters) Add(name string, delta int64) {
+// Counter resolves the named counter, creating it untouched if needed: it
+// stays out of Names and Snapshot until its first Add.
+func (c *Counters) Counter(name string) *Counter {
 	if c.m == nil {
-		c.m = make(map[string]int64)
+		c.m = make(map[string]*Counter)
 	}
-	c.m[name] += delta
+	k := c.m[name]
+	if k == nil {
+		k = &Counter{}
+		c.m[name] = k
+	}
+	return k
 }
 
+// Add increments the named counter by delta.
+func (c *Counters) Add(name string, delta int64) { c.Counter(name).Add(delta) }
+
 // Get reports the value of the named counter (0 if never touched).
-func (c *Counters) Get(name string) int64 { return c.m[name] }
+func (c *Counters) Get(name string) int64 {
+	if k := c.m[name]; k != nil {
+		return k.v
+	}
+	return 0
+}
 
 // Names reports all touched counter names, sorted.
 func (c *Counters) Names() []string {
 	names := make([]string, 0, len(c.m))
-	for n := range c.m {
-		names = append(names, n)
+	for n, k := range c.m {
+		if k.touched {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	return names
 }
 
-// Reset zeroes all counters.
+// Reset zeroes all counters. Resolved counters stay valid.
 func (c *Counters) Reset() {
-	for k := range c.m {
-		delete(c.m, k)
+	for _, k := range c.m {
+		*k = Counter{}
 	}
 }
 
-// Snapshot returns a copy of the current values.
+// Snapshot returns a copy of the current values of the touched counters.
 func (c *Counters) Snapshot() map[string]int64 {
 	out := make(map[string]int64, len(c.m))
-	for k, v := range c.m {
-		out[k] = v
+	for n, k := range c.m {
+		if k.touched {
+			out[n] = k.v
+		}
 	}
 	return out
 }
@@ -65,7 +98,7 @@ func (c *Counters) String() string {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(&b, "%s=%d", n, c.m[n])
+		fmt.Fprintf(&b, "%s=%d", n, c.m[n].v)
 	}
 	return b.String()
 }

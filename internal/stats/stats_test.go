@@ -37,6 +37,27 @@ func TestCountersZeroValue(t *testing.T) {
 	}
 }
 
+func TestCounterHandle(t *testing.T) {
+	c := NewCounters()
+	k := c.Counter("dma")
+	if len(c.Names()) != 0 || len(c.Snapshot()) != 0 || c.String() != "" {
+		t.Fatal("a resolved but untouched counter must stay unlisted")
+	}
+	k.Add(2)
+	c.Add("dma", 3)
+	if c.Get("dma") != 5 || c.Snapshot()["dma"] != 5 {
+		t.Fatalf("handle and name disagree: %s", c)
+	}
+	c.Reset()
+	if len(c.Names()) != 0 || c.Get("dma") != 0 {
+		t.Fatal("reset did not clear the handle's counter")
+	}
+	k.Add(0)
+	if got := c.String(); got != "dma=0" {
+		t.Fatalf("after Add(0) String = %q, want the touched counter listed", got)
+	}
+}
+
 func TestCountersString(t *testing.T) {
 	c := NewCounters()
 	c.Add("b", 2)
