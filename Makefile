@@ -19,7 +19,7 @@ vet:
 
 # bench: figure and per-layer micro-benchmarks + the full experiment suite,
 # merged into one BENCH.json (wall clock per experiment, simulated
-# events/sec, packets/sec, allocations, headline figure metrics).
+# events/sec, allocations, headline figure metrics).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem | tee gobench.txt
 	$(GO) test -run '^$$' -bench 'LAPICInjectAckEOI|TranslateDMA|RouteDMA' -benchmem \

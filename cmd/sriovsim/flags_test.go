@@ -4,13 +4,11 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/sim"
-
 	sriov "repro"
 )
 
 // TestFlagValueErrorsListChoices pins the CLI contract that a bad value for
-// an enumerated flag (-backend, -sched, -chaos) produces an error naming
+// an enumerated flag (-backend, -chaos) produces an error naming
 // every valid choice — a typo should teach, not just reject. Each case runs
 // the same resolver main() dispatches to.
 func TestFlagValueErrorsListChoices(t *testing.T) {
@@ -20,15 +18,6 @@ func TestFlagValueErrorsListChoices(t *testing.T) {
 		value   string
 		choices []string
 	}{
-		{
-			flag: "-sched",
-			resolve: func(v string) error {
-				_, err := sim.ParseSchedulerKind(v)
-				return err
-			},
-			value:   "fifo",
-			choices: []string{"wheel", "heap"},
-		},
 		{
 			flag: "-chaos",
 			resolve: func(v string) error {

@@ -1,7 +1,7 @@
 // Package bench is the measurement side of the experiment pipeline: it
 // turns a runner.Summary into a canonical machine-readable BENCH.json
 // (per-experiment wall clock and headline figure metrics, plus process
-// totals — simulated events/sec, packets/sec, allocations), parses
+// totals — simulated events/sec, allocations), parses
 // `go test -bench` output for merging micro-benchmarks into the same file,
 // and diffs two BENCH files so CI can fail on a perf regression against a
 // committed baseline.
@@ -57,10 +57,6 @@ type Totals struct {
 	// divides it by the harness wall clock — the simulator's core speed.
 	SimEvents    uint64  `json:"sim_events"`
 	EventsPerSec float64 `json:"events_per_sec"`
-	// Packets counts generated workload packets; PacketsPerSec divides by
-	// wall clock.
-	Packets       int64   `json:"packets"`
-	PacketsPerSec float64 `json:"packets_per_sec"`
 	// AllocBytes / Mallocs are the run's heap allocation deltas
 	// (runtime.MemStats TotalAlloc / Mallocs).
 	AllocBytes uint64 `json:"alloc_bytes"`
@@ -112,10 +108,10 @@ type File struct {
 	Totals      Totals          `json:"totals"`
 }
 
-// Collect builds a File from a run. Process-level totals that the runner
-// cannot see (packets, allocations) are the caller's deltas around the run;
-// pass zero to omit them.
-func Collect(sum *runner.Summary, packets int64, allocBytes, mallocs uint64) *File {
+// Collect builds a File from a run. The allocation totals, which the runner
+// cannot see, are the caller's deltas around the run; pass zero to omit
+// them.
+func Collect(sum *runner.Summary, allocBytes, mallocs uint64) *File {
 	f := &File{
 		Schema:     Schema,
 		GoVersion:  runtime.Version(),
@@ -142,7 +138,6 @@ func Collect(sum *runner.Summary, packets int64, allocBytes, mallocs uint64) *Fi
 		TaskWallMeanSec:     sum.TaskWall.Mean(),
 		TaskWallMaxSec:      sum.TaskWall.Max(),
 		SimEvents:           sum.Events,
-		Packets:             packets,
 		AllocBytes:          allocBytes,
 		Mallocs:             mallocs,
 		IntrFired:           sum.Obs.SumCounters("nic.", ".intr_fired"),
@@ -161,7 +156,6 @@ func Collect(sum *runner.Summary, packets int64, allocBytes, mallocs uint64) *Fi
 	}
 	if secs > 0 {
 		f.Totals.EventsPerSec = float64(sum.Events) / secs
-		f.Totals.PacketsPerSec = float64(packets) / secs
 	}
 	return f
 }
@@ -214,7 +208,7 @@ func Read(path string) (*File, error) {
 // Summary renders a short human-readable digest (for CI logs).
 func (f *File) Summary() string {
 	wall := time.Duration(f.Totals.WallNS)
-	return fmt.Sprintf("%d experiments, %d tasks in %v (parallel=%d): %.2fM events/s, %.2fM packets/s, %.1f MB allocated",
+	return fmt.Sprintf("%d experiments, %d tasks in %v (parallel=%d): %.2fM events/s, %.1f MB allocated",
 		len(f.Experiments), f.Totals.Tasks, wall.Round(time.Millisecond), f.Parallel,
-		f.Totals.EventsPerSec/1e6, f.Totals.PacketsPerSec/1e6, float64(f.Totals.AllocBytes)/1e6)
+		f.Totals.EventsPerSec/1e6, float64(f.Totals.AllocBytes)/1e6)
 }

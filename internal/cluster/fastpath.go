@@ -16,8 +16,8 @@
 //
 // Mode transitions (FastpathAuto):
 //
-//	fluid --(path link demand ≥ DemoteUtil, or queue > 3/4 cap)--> packet
-//	packet --(path calm ≥ PromoteQuiet: demand ≤ PromoteUtil,
+//	fluid --(path link demand ≥ closDemoteUtil, or queue > 3/4 cap)--> packet
+//	packet --(path calm ≥ closPromoteQuiet: demand ≤ closPromoteUtil,
 //	          queues drained, path up)--> fluid
 //
 // Demotion settles first, so no bytes are lost or invented across the
@@ -59,7 +59,7 @@ func newFluidModel(c *Clos, mode FastpathMode) *fluidModel {
 	m := &fluidModel{
 		c:          c,
 		mode:       mode,
-		pollEvery:  c.cfg.PromoteQuiet / 2,
+		pollEvery:  closPromoteQuiet / 2,
 		demotions:  c.Obs.Counter("cluster.clos.fastpath.demotions"),
 		promotions: c.Obs.Counter("cluster.clos.fastpath.promotions"),
 		recomputes: c.Obs.Counter("cluster.clos.fastpath.recomputes"),
@@ -265,7 +265,7 @@ func (m *fluidModel) scheduleCompletion(f *ClosFlow, now units.Time) {
 // at or past the demotion threshold.
 func (m *fluidModel) congested(f *ClosFlow) bool {
 	for _, l := range f.path {
-		if l.demandBps >= m.c.cfg.DemoteUtil*float64(l.cfg.Rate) {
+		if l.demandBps >= closDemoteUtil*float64(l.cfg.Rate) {
 			return true
 		}
 	}
@@ -277,7 +277,7 @@ func (m *fluidModel) congested(f *ClosFlow) bool {
 func (m *fluidModel) calm(f *ClosFlow) bool {
 	for _, l := range f.path {
 		if !l.up || l.qBytes > l.cfg.QueueCap/8 ||
-			l.demandBps > m.c.cfg.PromoteUtil*float64(l.cfg.Rate) {
+			l.demandBps > closPromoteUtil*float64(l.cfg.Rate) {
 			return false
 		}
 	}
@@ -354,7 +354,7 @@ func (m *fluidModel) recompute() {
 }
 
 // poll is the promotion scan: demoted flows whose path has stayed calm for
-// PromoteQuiet go back to the fluid path.
+// closPromoteQuiet go back to the fluid path.
 func (m *fluidModel) poll() {
 	now := m.c.Eng.Now()
 	changed := false
@@ -367,7 +367,7 @@ func (m *fluidModel) poll() {
 				f.hasCalm = true
 				f.calmSince = now
 			}
-			if now.Sub(f.calmSince) >= m.c.cfg.PromoteQuiet {
+			if now.Sub(f.calmSince) >= closPromoteQuiet {
 				m.promote(f)
 				changed = true
 			}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/units"
 )
 
@@ -269,20 +268,5 @@ func TestFluidAllocationSharesBottleneck(t *testing.T) {
 	}
 	if v := c.Obs.Counter("cluster.clos.fastpath.recomputes").Value(); v == 0 {
 		t.Error("no recompute recorded")
-	}
-}
-
-func TestClosPerLinkStatsGated(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := newTestClos(t, ClosConfig{Topo: Topology{}, Seed: 1, Obs: reg, PerLinkStats: true, Fastpath: FastpathOff})
-	c.StartFlow(0, 0, 2, 0, model.ClusterLinkRate/4)
-	c.Run(50 * units.Millisecond)
-	c.StopAll()
-	c.Drain(100 * units.Millisecond)
-	if reg.SumCounters("cluster.clos.link.", ".tx_pkts") == 0 {
-		t.Error("per-link stats enabled but no per-link tx counted")
-	}
-	if reg.SumCounters("cluster.clos.tier.", ".tx_pkts") == 0 {
-		t.Error("tier rollups missing")
 	}
 }

@@ -326,7 +326,7 @@ func ClosRingSpec(hosts, vms int, mode cluster.FastpathMode) Spec {
 			fmt.Sprintf("violations=%d", cell.violations))
 		return f
 	}
-	return pointsSpec(id, title, points, build)
+	return Spec{ID: id, Title: title, Points: points, Build: build}
 }
 
 // ClosSoakResult is one Clos-soak iteration's summary — the fabric leg of

@@ -42,20 +42,11 @@ var (
 // figure, so the runner parallelizes and reproduces it identically.
 func ClusterScaleSpec(hosts int, link cluster.LinkConfig) Spec {
 	id := fmt.Sprintf("cluster-%dh", hosts)
-	points := clusterScalePoints([]int{hosts}, link)
-	build := buildClusterScale(id)
 	return Spec{
 		ID:     id,
 		Title:  fmt.Sprintf("Cluster scale-out: %d hosts behind a ToR switch", hosts),
-		Points: points, Build: build,
-		Run: func() *report.Figure {
-			arena := sim.NewArena()
-			results := make([]any, len(points))
-			for i, p := range points {
-				results[i] = p.Run(PointSeed(id, p.Label), obs.NewRegistry(), arena)
-			}
-			return build(results)
-		},
+		Points: clusterScalePoints([]int{hosts}, link),
+		Build:  buildClusterScale(id),
 	}
 }
 

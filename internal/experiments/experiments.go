@@ -31,27 +31,24 @@ import (
 // reg is the point's private metrics registry — the caller owns it and
 // (for a parallel runner) merges the per-point registries in point order
 // afterwards, so points never share instruments. arena is the caller's
-// event free list (one per worker goroutine): points pass it into their
-// engines so consecutive points reuse event storage instead of re-paying
-// the allocations. It never affects results, only allocation counts; nil
-// is valid and gives each engine a private arena.
+// run context (one per worker goroutine): a point passes it into every
+// engine it builds, so consecutive points reuse event storage, every engine
+// uses the run's scheduler kind, and the run's executed events are tallied
+// on it. It never affects results; nil is valid and gives each engine a
+// private arena.
 type Point struct {
 	Label string
 	Run   func(seed uint64, reg *obs.Registry, arena *sim.Arena) any
 }
 
-// Spec describes one reproducible experiment.
-//
-// Every spec has a serial Run. Specs whose series points are independent
-// additionally carry Points and Build: Run is then derived — it executes
-// the points in order and assembles — so the serial path and a parallel
-// runner produce identical figures by construction.
+// Spec describes one reproducible experiment: its independent points and
+// the assembly of their results into a figure. An experiment that does not
+// decompose is a single point that returns its finished figure.
 type Spec struct {
 	ID    string
 	Title string
-	Run   func() *report.Figure
 
-	// Points decomposes the experiment; nil means it only runs whole.
+	// Points are the experiment's independently runnable units.
 	Points []Point
 	// Build assembles the figure from the point results, in Points order.
 	Build func(results []any) *report.Figure
@@ -63,8 +60,18 @@ type Spec struct {
 	Observe func(tr *trace.Buffer, spans *obs.SpanBuffer)
 }
 
-// Parallelizable reports whether the experiment decomposes into points.
-func (s Spec) Parallelizable() bool { return len(s.Points) > 0 && s.Build != nil }
+// Run is the serial path: it executes the points in order on one arena,
+// each with its PointSeed and a fresh registry, and assembles the figure.
+// The parallel runner executes the same points and the same Build, so both
+// paths produce identical figures by construction.
+func (s Spec) Run() *report.Figure {
+	arena := sim.NewArena()
+	results := make([]any, len(s.Points))
+	for i, p := range s.Points {
+		results[i] = p.Run(PointSeed(s.ID, p.Label), obs.NewRegistry(), arena)
+	}
+	return s.Build(results)
+}
 
 // PointSeed derives the stable engine seed for one point of an experiment.
 // It depends only on the experiment id and point label, never on worker
@@ -77,26 +84,21 @@ var registry = map[string]Spec{}
 
 func register(s Spec) { registry[s.ID] = s }
 
-// pointsSpec assembles a decomposed Spec, deriving the serial Run from the
-// points so there is exactly one code path producing figures. Used both for
-// registered experiments and for ad-hoc restricted specs (NFVSpecs).
-func pointsSpec(id, title string, points []Point, build func([]any) *report.Figure) Spec {
-	return Spec{
-		ID: id, Title: title, Points: points, Build: build,
-		Run: func() *report.Figure {
-			arena := sim.NewArena()
-			results := make([]any, len(points))
-			for i, p := range points {
-				results[i] = p.Run(PointSeed(id, p.Label), obs.NewRegistry(), arena)
-			}
-			return build(results)
-		},
-	}
-}
-
 // registerPoints registers a decomposed experiment.
 func registerPoints(id, title string, points []Point, build func([]any) *report.Figure) {
-	register(pointsSpec(id, title, points, build))
+	register(Spec{ID: id, Title: title, Points: points, Build: build})
+}
+
+// registerWhole registers an experiment that runs as a single point: run
+// builds every testbed on the worker's arena and returns the finished
+// figure. Its engines keep the experiment's own seeds, and its metrics stay
+// in the testbeds' private registries.
+func registerWhole(id, title string, run func(arena *sim.Arena) *report.Figure) {
+	register(Spec{
+		ID: id, Title: title,
+		Points: []Point{{Label: "all", Run: func(_ uint64, _ *obs.Registry, arena *sim.Arena) any { return run(arena) }}},
+		Build:  func(results []any) *report.Figure { return results[0].(*report.Figure) },
+	})
 }
 
 // setObserve attaches an Observe hook to an already-registered experiment.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/netstack"
 	"repro/internal/nic"
 	"repro/internal/report"
+	"repro/internal/sim"
 	"repro/internal/units"
 	"repro/internal/vmm"
 )
@@ -22,7 +23,7 @@ import (
 // riding a PCIe Gen2 x8 link.
 
 func init() {
-	register(Spec{ID: "ext10g", Title: "Extension: single 10 GbE SR-IOV port (82599-class)", Run: Ext10G})
+	registerWhole("ext10g", "Extension: single 10 GbE SR-IOV port (82599-class)", Ext10G)
 }
 
 // ext10gInternalRate is the 82599's internal loopback ceiling (PCIe Gen2 x8
@@ -31,7 +32,7 @@ func init() {
 const ext10gInternalRate = 16 * units.Gbps
 
 // Ext10G runs 1–7 guests sharing one 10 GbE SR-IOV port.
-func Ext10G() *report.Figure {
+func Ext10G(arena *sim.Arena) *report.Figure {
 	f := &report.Figure{
 		ID:    "ext10g",
 		Title: "Extension: 1–7 VMs sharing a single 10 GbE SR-IOV port",
@@ -54,6 +55,7 @@ func Ext10G() *report.Figure {
 		Ports:    1,
 		PortRate: 10 * units.Gbps,
 		Opts:     vmm.AllOptimizations,
+		Arena:    arena,
 	}
 	const offered = 9570 * units.Mbps
 	var sevenVMTotal float64
@@ -70,7 +72,7 @@ func Ext10G() *report.Figure {
 	}
 
 	// Reference: the Fig. 12 all-optimized configuration (10 VMs on 10×1G).
-	ref := runSRIOV(core.Config{Ports: 10, Opts: vmm.AllOptimizations}, 10,
+	ref := runSRIOV(core.Config{Ports: 10, Opts: vmm.AllOptimizations, Arena: arena}, 10,
 		vmm.HVM, vmm.Kernel2628, aicPolicy, model.LineRateUDP, aicWarm)
 
 	for _, p := range tputS.Points {
@@ -91,7 +93,7 @@ func Ext10G() *report.Figure {
 }
 
 func init() {
-	register(Spec{ID: "extrr", Title: "Extension: request/response latency vs coalescing policy", Run: ExtRR})
+	registerWhole("extrr", "Extension: request/response latency vs coalescing policy", ExtRR)
 }
 
 // ExtRR is a TCP_RR-style extension: §5.3 argues lif exists "to limit the
@@ -100,7 +102,7 @@ func init() {
 // guest; the transaction rate is dominated by the interrupt coalescing
 // delay on the receive path, so the policy ordering inverts relative to the
 // CPU figures — exactly the trade-off AIC's latency floor exists to bound.
-func ExtRR() *report.Figure {
+func ExtRR(arena *sim.Arena) *report.Figure {
 	f := &report.Figure{
 		ID:    "extrr",
 		Title: "Extension: single-stream request/response rate per coalescing policy",
@@ -126,7 +128,7 @@ func ExtRR() *report.Figure {
 	}
 	var rates = map[string]float64{}
 	for _, pc := range pols {
-		tb := core.NewTestbed(core.Config{Ports: 1, Opts: vmm.AllOptimizations})
+		tb := core.NewTestbed(core.Config{Ports: 1, Opts: vmm.AllOptimizations, Arena: arena})
 		g, err := tb.AddSRIOVGuest("server", vmm.HVM, vmm.Kernel2628, 0, 0, pc.policy)
 		if err != nil {
 			panic(err)

@@ -24,11 +24,7 @@ import (
 // failover window, far below the planned hot-unplug handshake.
 
 func init() {
-	register(Spec{
-		ID:    "faults",
-		Title: "Fault injection: packet loss and time-to-recover by fault type",
-		Run:   Faults,
-	})
+	registerWhole("faults", "Fault injection: packet loss and time-to-recover by fault type", Faults)
 }
 
 const (
@@ -64,9 +60,9 @@ type faultResult struct {
 // runFaultCase builds a fresh two-port testbed with one bonded guest (VF on
 // port 0, PV standby on port 1), starts line-rate UDP and the bond health
 // monitor, injects the fault at t = 2 s and measures recovery until t = 8 s.
-func runFaultCase(c faultCase) faultResult {
+func runFaultCase(c faultCase, arena *sim.Arena) faultResult {
 	tb := core.NewTestbed(core.Config{
-		Ports: 2, Opts: vmm.AllOptimizations, NetbackThreads: 2,
+		Ports: 2, Opts: vmm.AllOptimizations, NetbackThreads: 2, Arena: arena,
 	})
 	g, err := tb.AddBondedGuestOn("guest-1", vmm.HVM, vmm.Kernel2628, 0, 0, 1, netstack.DefaultAIC())
 	if err != nil {
@@ -159,7 +155,7 @@ func runFaultCase(c faultCase) faultResult {
 
 // Faults runs every fault scenario and reports loss, retries and recovery
 // latency per type.
-func Faults() *report.Figure {
+func Faults(arena *sim.Arena) *report.Figure {
 	f := &report.Figure{
 		ID:    "faults",
 		Title: "Fault injection on a DNIS bond: loss and time-to-recover by fault type",
@@ -184,7 +180,7 @@ func Faults() *report.Figure {
 	ttr := f.AddSeries("time to recover", "ms")
 	retries := f.AddSeries("mailbox retries", "")
 	for _, c := range cases {
-		r := runFaultCase(c)
+		r := runFaultCase(c, arena)
 		lost.Add(c.name, r.lostPkts)
 		ttr.Add(c.name, r.ttr.Seconds()*1e3)
 		retries.Add(c.name, float64(r.retries))

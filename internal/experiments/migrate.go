@@ -20,8 +20,8 @@ import (
 // on a PV NIC) and Fig. 21 (an HVM guest on SR-IOV with DNIS).
 
 func init() {
-	register(Spec{ID: "fig20", Title: "Migrating an HVM running netperf with a PV network driver", Run: Fig20})
-	register(Spec{ID: "fig21", Title: "Migrating an HVM running netperf with SR-IOV and DNIS", Run: Fig21})
+	registerWhole("fig20", "Migrating an HVM running netperf with a PV network driver", Fig20)
+	registerWhole("fig21", "Migrating an HVM running netperf with SR-IOV and DNIS", Fig21)
 }
 
 // timelineBucket is the goodput sampling interval of the timelines.
@@ -40,10 +40,10 @@ type migrationRun struct {
 
 // runMigrationTimeline runs netperf against a guest on one 1 GbE port and
 // migrates it at t = 4.5 s, recording a 100 ms-bucket goodput timeline.
-func runMigrationTimeline(dnis bool) migrationRun {
+func runMigrationTimeline(dnis bool, arena *sim.Arena) migrationRun {
 	tb := core.NewTestbed(core.Config{
 		Ports: 1, Opts: vmm.AllOptimizations,
-		NetbackThreads: 2, GuestMemory: model.GuestMemory,
+		NetbackThreads: 2, GuestMemory: model.GuestMemory, Arena: arena,
 	})
 	var g *core.Guest
 	var err error
@@ -146,7 +146,7 @@ func outageWindow(s *stats.Series, from units.Duration) (units.Duration, units.D
 }
 
 // Fig20 is the PV-NIC migration baseline.
-func Fig20() *report.Figure {
+func Fig20(arena *sim.Arena) *report.Figure {
 	f := &report.Figure{
 		ID:    "fig20",
 		Title: "Migration timeline: HVM guest with a PV network driver",
@@ -157,7 +157,7 @@ func Fig20() *report.Figure {
 			"service down from ≈10.4 s to ≈11.8 s (stop-and-copy)",
 		},
 	}
-	run := runMigrationTimeline(false)
+	run := runMigrationTimeline(false, arena)
 	fillTimeline(f, run.series)
 
 	f.CheckTrue("migration completed", run.result != nil, "")
@@ -176,7 +176,7 @@ func Fig20() *report.Figure {
 }
 
 // Fig21 is the SR-IOV + DNIS migration.
-func Fig21() *report.Figure {
+func Fig21(arena *sim.Arena) *report.Figure {
 	f := &report.Figure{
 		ID:    "fig21",
 		Title: "Migration timeline: HVM guest with SR-IOV and DNIS",
@@ -190,7 +190,7 @@ func Fig21() *report.Figure {
 			"service down ≈10.3 s to ≈11.8 s, on par with the PV driver",
 		},
 	}
-	run := runMigrationTimeline(true)
+	run := runMigrationTimeline(true, arena)
 	fillTimeline(f, run.series)
 
 	f.CheckTrue("migration completed", run.result != nil, "")

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
@@ -23,7 +22,7 @@ func init() {
 	registerPoints("fig15", "SR-IOV scalability in HVM",
 		sweepPoints(false, vmm.HVM, ""), buildFig15)
 	// Fig. 16 compares PVM against HVM, so its point list carries both
-	// sweeps; the HVM half is shared with Fig. 15 through the sweep memo.
+	// sweeps; the HVM half re-runs Fig. 15's cells with their seeds.
 	registerPoints("fig16", "SR-IOV scalability in PVM",
 		append(sweepPoints(false, vmm.PVM, ""), sweepPoints(false, vmm.HVM, "hvm-")...), buildFig16)
 	registerPoints("fig17", "PV NIC scalability in HVM",
@@ -43,32 +42,18 @@ type scaleMeasure struct {
 	tput                     float64 // Gbps
 }
 
-// sweepKey identifies one memoized sweep cell.
+// sweepKey identifies one sweep cell.
 type sweepKey struct {
 	pv  bool // PV split driver path (vs SR-IOV VFs)
 	typ vmm.DomainType
 	n   int
 }
 
-// sweepMemo deduplicates sweep cells across figures (Fig. 15/16 and 17/18
-// cross-reference each other's sweeps) and across concurrent workers: the
-// first claimant computes under the cell's once, everyone else waits and
-// reads the same value. Results are independent of who computes first
-// because every cell seeds its engines from sweepSeed, not from the caller.
-var (
-	sweepMu   sync.Mutex
-	sweepMemo = map[sweepKey]*sweepCell{}
-)
-
-type sweepCell struct {
-	once sync.Once
-	m    scaleMeasure
-}
-
-// sweepSeed is the stable engine seed of one sweep cell. It deliberately
-// ignores the per-point seed of whichever figure triggered the computation:
-// a memoized cell must not measure differently depending on whether Fig. 15
-// or Fig. 16 got to it first.
+// seed is the stable engine seed of one sweep cell. It depends only on the
+// cell, not on the figure's point label, so the comparison sweep a figure
+// carries ("hvm-10" … in Fig. 16/18) measures exactly what the other
+// figure's own sweep does: fig16's hvm-* cells are fig15's cells, and
+// fig18's are fig17's.
 func (k sweepKey) seed() uint64 {
 	path := "sriov"
 	if k.pv {
@@ -77,29 +62,19 @@ func (k sweepKey) seed() uint64 {
 	return sim.StableSeed("scale", path, k.typ.String(), fmt.Sprintf("%d", k.n))
 }
 
-// sweepPoint computes (or returns the memoized) sweep cell.
-func sweepPoint(k sweepKey, arena *sim.Arena) scaleMeasure {
-	sweepMu.Lock()
-	c, ok := sweepMemo[k]
-	if !ok {
-		c = &sweepCell{}
-		sweepMemo[k] = c
+// run simulates the sweep cell, recording its metrics and invariant audit
+// into reg.
+func (k sweepKey) run(reg *obs.Registry, arena *sim.Arena) scaleMeasure {
+	cfg := core.Config{Seed: k.seed(), Ports: 10, Opts: vmm.AllOptimizations, Obs: reg, Arena: arena}
+	var r bedResult
+	if k.pv {
+		cfg.NetbackThreads = model.NetbackThreadsEnhanced
+		r = runPV(cfg, k.n, k.typ, vmm.Kernel2628, perPortRate(k.n, 10))
+	} else {
+		r = runSRIOV(cfg, k.n, k.typ, vmm.Kernel2628, aicPolicy, perPortRate(k.n, 10), aicWarm)
 	}
-	sweepMu.Unlock()
-	c.once.Do(func() {
-		var r bedResult
-		if k.pv {
-			r = runPV(core.Config{Seed: k.seed(), Ports: 10, Opts: vmm.AllOptimizations,
-				NetbackThreads: model.NetbackThreadsEnhanced, Arena: arena},
-				k.n, k.typ, vmm.Kernel2628, perPortRate(k.n, 10))
-		} else {
-			r = runSRIOV(core.Config{Seed: k.seed(), Ports: 10, Opts: vmm.AllOptimizations, Arena: arena},
-				k.n, k.typ, vmm.Kernel2628, aicPolicy, perPortRate(k.n, 10), aicWarm)
-		}
-		c.m = scaleMeasure{total: r.util.Total, dom0: r.util.Dom0, xen: r.util.Xen,
-			guests: r.util.Guests, tput: r.goodput.Gbps()}
-	})
-	return c.m
+	return scaleMeasure{total: r.util.Total, dom0: r.util.Dom0, xen: r.util.Xen,
+		guests: r.util.Guests, tput: r.goodput.Gbps()}
 }
 
 // sweepPoints builds one Point per VM count for the given path and domain
@@ -111,10 +86,8 @@ func sweepPoints(pv bool, typ vmm.DomainType, prefix string) []Point {
 		k := sweepKey{pv: pv, typ: typ, n: n}
 		pts = append(pts, Point{
 			Label: fmt.Sprintf("%s%d", prefix, n),
-			// Memoized across figures: the cell ignores both the per-point
-			// seed (see sweepSeed) and the registry — a cell computed for
-			// Fig. 15 must not write metrics into Fig. 16's registry.
-			Run: func(_ uint64, _ *obs.Registry, arena *sim.Arena) any { return sweepPoint(k, arena) },
+			// The cell seeds its engines from k.seed, not the point seed.
+			Run: func(_ uint64, reg *obs.Registry, arena *sim.Arena) any { return k.run(reg, arena) },
 		})
 	}
 	return pts

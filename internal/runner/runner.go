@@ -1,15 +1,21 @@
 // Package runner executes registered experiments on a worker pool.
 //
-// The unit of scheduling is a task: either a whole experiment, or — for
-// experiments that decompose (experiments.Spec.Points) — one independent
-// series point, such as a single VM count of a scalability sweep or one
-// coalescing policy of a sweep. Tasks are sharded across N goroutines;
-// every task builds its own testbeds, so every simulation engine lives on
-// exactly one goroutine, and every engine is seeded from a stable per-point
-// seed (experiments.PointSeed) that depends only on what the task is.
-// Figures are assembled from point results in registration order after all
-// of an experiment's tasks finish. The result is bit-identical output at
-// any parallelism: -parallel 1 and -parallel 8 render the same bytes.
+// The unit of scheduling is a task: one point of an experiment
+// (experiments.Spec.Points), such as a single VM count of a scalability
+// sweep, one coalescing policy of a sweep, or the single point of an
+// experiment that does not decompose. Tasks are sharded across N
+// goroutines; every task builds its own testbeds, so every simulation
+// engine lives on exactly one goroutine, and every engine is seeded from a
+// stable per-point seed (experiments.PointSeed) that depends only on what
+// the task is. Figures are assembled from point results in registration
+// order after all of an experiment's tasks finish. The result is
+// bit-identical output at any parallelism: -parallel 1 and -parallel 8
+// render the same bytes.
+//
+// Each worker's sim.Arena is the run's only mutable context below the
+// runner: it carries the scheduler kind into every engine a task builds
+// and tallies the events those engines execute. Two runs in one process
+// share nothing.
 package runner
 
 import (
@@ -33,10 +39,10 @@ type Options struct {
 	// Progress, if non-nil, receives one line per started task ("fig15
 	// [30]") and is called from worker goroutines under a lock.
 	Progress func(line string)
-	// Scheduler selects the event-queue backend every task's engines use
-	// (the -sched flag). SchedDefault defers to the process default. The
-	// choice must be invisible in the output: figures are byte-identical
-	// under wheel and heap at any parallelism.
+	// Scheduler selects the event-queue backend every task's engines use;
+	// the zero value is the wheel. The choice must be invisible in the
+	// output: figures are byte-identical under wheel and heap at any
+	// parallelism.
 	Scheduler sim.SchedulerKind
 }
 
@@ -49,7 +55,7 @@ type Result struct {
 	// experiment's tasks (not first-start-to-last-end, which depends on
 	// what else shared the pool).
 	Wall time.Duration
-	// Tasks is how many tasks the experiment decomposed into (1 if whole).
+	// Tasks is how many tasks (points) the experiment ran as.
 	Tasks int
 	// Allocs and AllocBytes are the heap allocations the experiment's tasks
 	// performed (runtime.MemStats deltas summed over tasks). They are only
@@ -73,14 +79,13 @@ type Summary struct {
 	Tasks int
 	// TaskWall is the distribution of per-task wall times, in seconds.
 	TaskWall stats.Welford
-	// Events is the number of simulation events executed during the run
-	// (from the engine's process-wide counter; runs sharing a process with
-	// other simulation work will overcount).
+	// Events is the number of simulation events the run's engines executed:
+	// the sum of the worker arenas' tallies.
 	Events uint64
-	// Obs is the run's merged metrics registry: every point task runs with
-	// its own private registry, and they are merged in task order after the
+	// Obs is the run's merged metrics registry: every task runs with its
+	// own private registry, and they are merged in task order after the
 	// pool drains, so the merged contents are byte-identical at any
-	// parallelism. Whole (non-decomposed) experiments do not contribute.
+	// parallelism.
 	Obs *obs.Registry
 }
 
@@ -99,7 +104,7 @@ func (s *Summary) Failed() []Result {
 type task struct {
 	idx   int // index into the task list (and taskRegs)
 	spec  int // index into specs
-	point int // index into Points, or -1 for a whole experiment
+	point int // index into the spec's Points
 }
 
 // Run executes the given experiments on a pool of opts.Parallel workers and
@@ -115,20 +120,15 @@ func Run(specs []experiments.Spec, opts Options) *Summary {
 	var tasks []task
 	for i, s := range specs {
 		sum.Results[i] = Result{ID: s.ID, Title: s.Title}
-		if s.Parallelizable() {
-			pointRes[i] = make([]any, len(s.Points))
-			for j := range s.Points {
-				tasks = append(tasks, task{idx: len(tasks), spec: i, point: j})
-			}
-		} else {
-			tasks = append(tasks, task{idx: len(tasks), spec: i, point: -1})
+		pointRes[i] = make([]any, len(s.Points))
+		for j := range s.Points {
+			tasks = append(tasks, task{idx: len(tasks), spec: i, point: j})
 		}
 	}
 	sum.Tasks = len(tasks)
 	taskRegs := make([]*obs.Registry, len(tasks))
 
 	start := time.Now()
-	eventsBefore := sim.TotalProcessed()
 
 	// mu guards the per-experiment accumulators (Wall, Tasks, Err), the
 	// task-wall distribution, and Progress. Point results need no lock:
@@ -137,16 +137,18 @@ func Run(specs []experiments.Spec, opts Options) *Summary {
 	ch := make(chan task)
 	var wg sync.WaitGroup
 	trackAllocs := workers == 1
-	for w := 0; w < workers; w++ {
+	arenas := make([]*sim.Arena, workers)
+	for w := range arenas {
+		// One arena per worker goroutine, never shared across goroutines:
+		// consecutive points on this worker reuse each other's event
+		// storage, and every engine a task builds on it takes the run's
+		// scheduler kind and adds to its event tally.
+		arena := sim.NewArena()
+		arena.SetScheduler(opts.Scheduler)
+		arenas[w] = arena
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One event arena per worker goroutine: consecutive points on
-			// this worker reuse each other's event storage. Arenas are never
-			// shared across goroutines. The arena also carries the scheduler
-			// choice down to every engine a task builds on it.
-			arena := sim.NewArena()
-			arena.SetScheduler(opts.Scheduler)
 			for t := range ch {
 				runTask(specs, t, pointRes, taskRegs, sum, &mu, opts.Progress, arena, trackAllocs)
 			}
@@ -166,10 +168,10 @@ func Run(specs []experiments.Spec, opts Options) *Summary {
 		sum.Obs.Merge(reg)
 	}
 
-	// Assemble decomposed figures in input order, on this goroutine.
+	// Assemble the figures in input order, on this goroutine.
 	for i, s := range specs {
 		r := &sum.Results[i]
-		if r.Err != nil || !s.Parallelizable() {
+		if r.Err != nil {
 			continue
 		}
 		func() {
@@ -184,7 +186,9 @@ func Run(specs []experiments.Spec, opts Options) *Summary {
 	}
 
 	sum.Wall = time.Since(start)
-	sum.Events = sim.TotalProcessed() - eventsBefore
+	for _, a := range arenas {
+		sum.Events += a.Processed()
+	}
 	return sum
 }
 
@@ -216,10 +220,8 @@ func RunIDs(ids []string, opts Options) (*Summary, error) {
 // experiments.
 func runTask(specs []experiments.Spec, t task, pointRes [][]any, taskRegs []*obs.Registry, sum *Summary, mu *sync.Mutex, progress func(string), arena *sim.Arena, trackAllocs bool) {
 	s := specs[t.spec]
-	label := s.ID
-	if t.point >= 0 {
-		label = fmt.Sprintf("%s [%s]", s.ID, s.Points[t.point].Label)
-	}
+	p := s.Points[t.point]
+	label := fmt.Sprintf("%s [%s]", s.ID, p.Label)
 	if progress != nil {
 		mu.Lock()
 		progress(label)
@@ -251,14 +253,6 @@ func runTask(specs []experiments.Spec, t task, pointRes [][]any, taskRegs []*obs
 		}
 		mu.Unlock()
 	}()
-	if t.point < 0 {
-		fig := s.Run()
-		mu.Lock()
-		sum.Results[t.spec].Figure = fig
-		mu.Unlock()
-		return
-	}
-	p := s.Points[t.point]
 	// The point gets a private registry (slot has one writer; the
 	// WaitGroup orders the merge's reads).
 	reg := obs.NewRegistry()

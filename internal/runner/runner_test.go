@@ -3,6 +3,7 @@ package runner
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/experiments"
@@ -41,8 +42,8 @@ func determinismIDs(t *testing.T) []string {
 
 // TestDeterminismAcrossParallelism asserts the tentpole invariant: the full
 // experiment suite renders byte-identical figures at -parallel 1 and
-// -parallel 8. (The scale sweeps memoize across runs, which only makes the
-// comparison stricter for everything not memoized.)
+// -parallel 8. Both runs simulate every point from scratch; nothing is
+// shared between them.
 func TestDeterminismAcrossParallelism(t *testing.T) {
 	ids := determinismIDs(t)
 	s1, err := RunIDs(ids, Options{Parallel: 1})
@@ -201,8 +202,8 @@ func firstDiffLine(a, b string) string {
 }
 
 // TestResultsInInputOrderAndCounted checks ordering, task accounting, and
-// the wall/events bookkeeping on a small mixed run (decomposed fig08 +
-// whole-experiment fig20).
+// the wall/events bookkeeping on a small mixed run (fig08's points and
+// fig20's single point).
 func TestResultsInInputOrderAndCounted(t *testing.T) {
 	s, err := RunIDs([]string{"fig20", "fig08"}, Options{Parallel: 4})
 	if err != nil {
@@ -212,7 +213,7 @@ func TestResultsInInputOrderAndCounted(t *testing.T) {
 		t.Fatalf("unexpected result order: %+v", s.Results)
 	}
 	fig08, ok := experiments.ByID("fig08")
-	if !ok || !fig08.Parallelizable() {
+	if !ok || len(fig08.Points) < 2 {
 		t.Fatal("fig08 should be decomposed")
 	}
 	if got := s.Results[0].Tasks; got != len(fig08.Points) {
@@ -248,7 +249,10 @@ func TestPanicIsolation(t *testing.T) {
 		},
 		{
 			ID: "fine", Title: "works",
-			Run: func() *report.Figure { return &report.Figure{ID: "fine", Title: "ok"} },
+			Points: []experiments.Point{
+				{Label: "all", Run: func(uint64, *obs.Registry, *sim.Arena) any { return 1 }},
+			},
+			Build: func([]any) *report.Figure { return &report.Figure{ID: "fine", Title: "ok"} },
 		},
 	}
 	s := Run(specs, Options{Parallel: 2})
@@ -283,6 +287,62 @@ func TestPointLabelsUnique(t *testing.T) {
 				t.Errorf("%s: duplicate point label %q", s.ID, p.Label)
 			}
 			seen[p.Label] = true
+		}
+	}
+}
+
+// TestRepeatedRunSimulatesAgain pins that a run carries no state into the
+// next: the same experiment run twice in one process simulates every point
+// again and reports the same, nonzero event count.
+func TestRepeatedRunSimulatesAgain(t *testing.T) {
+	ids := []string{"fig15"}
+	if testing.Short() || raceEnabled {
+		ids = []string{"fig08"}
+	}
+	var events [2]uint64
+	for i := range events {
+		s, err := RunIDs(ids, Options{Parallel: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		suiteMarkdown(t, s)
+		events[i] = s.Events
+	}
+	if events[0] == 0 || events[0] != events[1] {
+		t.Fatalf("%v events: first run %d, second run %d; want equal and nonzero", ids, events[0], events[1])
+	}
+}
+
+// TestConcurrentRunsCountOwnEvents: two runs in concurrent goroutines each
+// report exactly the events their own engines executed, the count a serial
+// run of the same experiments reports.
+func TestConcurrentRunsCountOwnEvents(t *testing.T) {
+	ids := []string{"fig07", "fig20"}
+	serial, err := RunIDs(ids, Options{Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial.Events == 0 {
+		t.Fatal("serial run recorded no events")
+	}
+	var got [2]uint64
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s, err := RunIDs(ids, Options{Parallel: 1})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = s.Events
+		}()
+	}
+	wg.Wait()
+	for i, n := range got {
+		if n != serial.Events {
+			t.Errorf("concurrent run %d reported %d events, serial run %d", i, n, serial.Events)
 		}
 	}
 }

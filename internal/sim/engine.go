@@ -10,7 +10,6 @@ package sim
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/units"
 )
@@ -84,24 +83,25 @@ type Arena struct {
 	// pooled. Zero on every healthy run; the chaos invariant checker gates
 	// on it (pool-integrity invariant).
 	corruptions int64
-	// sched, when not SchedDefault, is the scheduler kind engines created
-	// on this arena use. The arena is the one object that already flows
-	// from the runner's worker loop into every engine a point builds, so it
-	// doubles as the per-worker scheduler selection channel — no globals,
-	// so two differential runs with different kinds can share a process.
+	// sched is the scheduler kind engines created on this arena use. The
+	// arena is the one object that flows from the runner's worker loop into
+	// every engine a point builds, so it also carries the run-scoped
+	// choices: the scheduler kind in, the executed-event tally out.
 	sched SchedulerKind
+	// processed tallies the events executed by every engine on this arena.
+	processed uint64
 }
 
 // NewArena returns an empty event free list.
 func NewArena() *Arena { return &Arena{} }
 
-// SetScheduler sets the scheduler kind engines created on this arena use
-// (SchedDefault defers to the process-wide default). It only affects engines
-// created afterwards.
+// SetScheduler sets the scheduler kind engines created on this arena use.
+// It only affects engines created afterwards.
 func (a *Arena) SetScheduler(k SchedulerKind) { a.sched = k }
 
-// Scheduler reports the arena's scheduler kind.
-func (a *Arena) Scheduler() SchedulerKind { return a.sched }
+// Processed reports how many events the engines on this arena have
+// executed, counted at the end of each RunUntil.
+func (a *Arena) Processed() uint64 { return a.processed }
 
 // Corruptions reports how many pool-integrity failures (double-recycles,
 // free-list entries not marked pooled) the arena has detected.
@@ -176,18 +176,14 @@ type Engine struct {
 	now Time
 	seq uint64
 	// sched is the event queue — the binary heap or the timer wheel,
-	// selected at construction; kind records which.
+	// selected at construction from the arena's kind.
 	sched   scheduler
-	kind    SchedulerKind
 	seed    uint64
 	rng     *RNG
 	streams map[string]*RNG
 	stopped bool
 	// processed counts events executed, for diagnostics and runaway guards.
 	processed uint64
-	// flushed is the portion of processed already added to the global
-	// counter (see TotalProcessed).
-	flushed uint64
 	// limit bounds the number of executed events; 0 means unlimited.
 	limit uint64
 	// arena recycles event objects; pooling gates whether recycled events
@@ -205,32 +201,18 @@ func NewEngine(seed uint64) *Engine {
 
 // NewEngineArena is NewEngine with a caller-supplied event arena, so
 // sequentially-run engines (one experiment point after another on a runner
-// worker) reuse each other's event storage. A nil arena gets a private one.
-// The scheduler kind resolves arena → process default.
+// worker) reuse each other's event storage. The engine uses the arena's
+// scheduler kind and adds its executed events to the arena's tally. A nil
+// arena gets a private one.
 func NewEngineArena(seed uint64, arena *Arena) *Engine {
-	return NewEngineSched(seed, arena, SchedDefault)
-}
-
-// NewEngineSched is NewEngineArena with an explicit scheduler kind.
-// SchedDefault defers to the arena's kind, then the process-wide default.
-func NewEngineSched(seed uint64, arena *Arena, kind SchedulerKind) *Engine {
 	if arena == nil {
 		arena = NewArena()
 	}
-	if kind == SchedDefault {
-		kind = arena.sched
-	}
-	if kind == SchedDefault {
-		kind = DefaultScheduler()
-	}
 	return &Engine{
 		seed: seed, rng: NewRNG(seed), arena: arena, pooling: true,
-		sched: newScheduler(kind), kind: kind,
+		sched: newScheduler(arena.sched),
 	}
 }
-
-// Scheduler reports which event-queue implementation backs this engine.
-func (e *Engine) Scheduler() SchedulerKind { return e.kind }
 
 // Arena exposes the engine's event pool, so integrity checkers can read
 // its corruption counter at quiesce.
@@ -269,25 +251,6 @@ func (e *Engine) Stream(name string) *RNG {
 		e.streams[name] = r
 	}
 	return r
-}
-
-// totalProcessed accumulates events executed across every engine in the
-// process (atomically — parallel runners drive one engine per goroutine).
-// It feeds the benchmark harness's events/sec figure.
-var totalProcessed atomic.Uint64
-
-// TotalProcessed reports the process-wide number of simulation events
-// executed across all engines.
-func TotalProcessed() uint64 { return totalProcessed.Load() }
-
-// flushProcessed publishes this engine's not-yet-counted events to the
-// process-wide counter. Called at the end of RunUntil so the atomic is
-// touched once per run, not once per event.
-func (e *Engine) flushProcessed() {
-	if d := e.processed - e.flushed; d > 0 {
-		totalProcessed.Add(d)
-		e.flushed = e.processed
-	}
 }
 
 // Processed reports how many events have been executed so far.
@@ -350,7 +313,7 @@ func (e *Engine) Run() Time { return e.RunUntil(Time(1<<62 - 1)) }
 // clock to the deadline (if it is later than the last event) and returns it.
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
-	defer e.flushProcessed()
+	start := e.processed
 	for !e.stopped {
 		next := e.sched.peek()
 		if next == nil || next.when > deadline {
@@ -381,6 +344,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		e.recycle(next)
 		fn()
 	}
+	e.arena.processed += e.processed - start
 	if !e.stopped && e.now < deadline && deadline < Time(1<<62-1) {
 		e.now = deadline
 	}

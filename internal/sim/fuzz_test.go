@@ -25,7 +25,9 @@ type fireRec struct {
 // pool-disabled engines for equivalence.
 func fuzzRun(t *testing.T, data []byte, pooling bool, kind SchedulerKind) (trace []fireRec, cancels []bool) {
 	t.Helper()
-	e := NewEngineSched(99, nil, kind)
+	arena := NewArena()
+	arena.SetScheduler(kind)
+	e := NewEngineArena(99, arena)
 	e.SetPooling(pooling)
 	e.SetEventLimit(100000)
 

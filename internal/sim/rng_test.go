@@ -38,15 +38,6 @@ func TestStreamIndependentOfDrawOrder(t *testing.T) {
 	}
 }
 
-// Split, by contrast, consumes a parent draw — the documented hazard.
-func TestSplitConsumesParentStream(t *testing.T) {
-	a, b := NewRNG(7), NewRNG(7)
-	a.Split()
-	if a.Uint64() == b.Uint64() {
-		t.Fatal("Split did not consume a draw; hazard documentation is stale")
-	}
-}
-
 // Different names must give different sequences; the same name the same.
 func TestStreamNaming(t *testing.T) {
 	r := NewRNG(42)
@@ -83,14 +74,25 @@ func TestStableSeedSeparator(t *testing.T) {
 	}
 }
 
-func TestTotalProcessedAccumulates(t *testing.T) {
-	before := TotalProcessed()
-	e := NewEngine(1)
-	for i := 0; i < 10; i++ {
-		e.After(Duration(i), "tick", func() {})
+// TestArenaTalliesProcessed: every engine on an arena adds its executed
+// events to the arena's tally, and engines on other arenas do not.
+func TestArenaTalliesProcessed(t *testing.T) {
+	a := NewArena()
+	for seed := uint64(1); seed <= 2; seed++ {
+		e := NewEngineArena(seed, a)
+		for i := 0; i < 10; i++ {
+			e.After(Duration(i), "tick", func() {})
+		}
+		e.RunUntil(4)
+		e.Run()
 	}
-	e.Run()
-	if got := TotalProcessed() - before; got < 10 {
-		t.Fatalf("global event counter advanced by %d, want >= 10", got)
+	other := NewEngine(3)
+	other.After(1, "tick", func() {})
+	other.Run()
+	if got := a.Processed(); got != 20 {
+		t.Fatalf("arena tally = %d, want 20", got)
+	}
+	if got := other.Arena().Processed(); got != 1 {
+		t.Fatalf("private arena tally = %d, want 1", got)
 	}
 }

@@ -2,7 +2,7 @@
 //
 // The engine's event queue is behind the small scheduler interface so two
 // interchangeable implementations can back it: the original binary heap
-// (O(log n) push/pop, kept as the differential reference and fallback) and a
+// (O(log n) push/pop, kept as the differential reference) and a
 // hierarchical timer wheel (amortized O(1) schedule/pop for the dominant
 // short-horizon events — NIC inter-packet gaps, ITR timers, vhost poll
 // rounds — with same-tick batching). Both produce byte-identical schedules:
@@ -15,65 +15,30 @@ package sim
 
 import (
 	"container/heap"
-	"fmt"
 	"math/bits"
 	"slices"
-	"sync/atomic"
 )
 
-// SchedulerKind selects the engine's event-queue implementation.
+// SchedulerKind selects the engine's event-queue implementation. The zero
+// value is the wheel; an engine takes the kind of the arena it is built on
+// (Arena.SetScheduler).
 type SchedulerKind uint8
 
 const (
-	// SchedDefault resolves to the arena's kind if set, else the
-	// process-wide default (the wheel).
-	SchedDefault SchedulerKind = iota
 	// SchedWheel is the hierarchical timer wheel (calendar queue).
-	SchedWheel
+	SchedWheel SchedulerKind = iota
 	// SchedHeap is the binary heap, the original O(log n) scheduler kept as
 	// the differential reference.
 	SchedHeap
 )
 
-// String names the kind the way the -sched flag spells it.
+// String names the kind.
 func (k SchedulerKind) String() string {
-	switch k {
-	case SchedWheel:
-		return "wheel"
-	case SchedHeap:
+	if k == SchedHeap {
 		return "heap"
 	}
-	return "default"
+	return "wheel"
 }
-
-// ParseSchedulerKind decodes a -sched flag value.
-func ParseSchedulerKind(s string) (SchedulerKind, error) {
-	switch s {
-	case "wheel":
-		return SchedWheel, nil
-	case "heap":
-		return SchedHeap, nil
-	case "", "default":
-		return SchedDefault, nil
-	}
-	return SchedDefault, fmt.Errorf("sim: unknown scheduler %q (want wheel or heap)", s)
-}
-
-// defaultSched is the process-wide scheduler default, read by engines
-// constructed without an explicit kind. Atomic so a CLI flag set at startup
-// and parallel test runs never race.
-var defaultSched atomic.Uint32
-
-// DefaultScheduler reports the process-wide default scheduler kind.
-func DefaultScheduler() SchedulerKind {
-	if k := SchedulerKind(defaultSched.Load()); k != SchedDefault {
-		return k
-	}
-	return SchedWheel
-}
-
-// SetDefaultScheduler sets the process-wide default (the -sched flag).
-func SetDefaultScheduler(k SchedulerKind) { defaultSched.Store(uint32(k)) }
 
 // scheduler is the engine's event queue. The contract mirrors how RunUntil
 // drives it: peek returns the earliest pending event in (when, seq) order
@@ -89,7 +54,7 @@ type scheduler interface {
 	forEach(fn func(*event))
 }
 
-// newScheduler builds the queue for a resolved (non-default) kind.
+// newScheduler builds the queue for a kind.
 func newScheduler(kind SchedulerKind) scheduler {
 	if kind == SchedHeap {
 		return &heapSched{}

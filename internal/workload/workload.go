@@ -10,23 +10,12 @@
 package workload
 
 import (
-	"sync/atomic"
-
 	"repro/internal/guest"
 	"repro/internal/model"
 	"repro/internal/netstack"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
-
-// totalPackets counts packets generated by every Source in the process
-// (atomically — parallel runners drive one testbed per goroutine). It feeds
-// the benchmark harness's packets/sec figure.
-var totalPackets atomic.Int64
-
-// TotalPackets reports the process-wide number of packets generated by all
-// Sources.
-func TotalPackets() int64 { return totalPackets.Load() }
 
 // Sink receives generated batches (count, bytes).
 type Sink func(count int, bytes units.Size)
@@ -103,7 +92,6 @@ func (s *Source) generate() {
 	bytes := units.Size(n) * s.frame
 	s.Sent += int64(n)
 	s.SentBytes += bytes
-	totalPackets.Add(int64(n))
 	s.sink(n, bytes)
 }
 

@@ -42,7 +42,7 @@ func TestExperimentRegistryComplete(t *testing.T) {
 		if got[i].ID != id {
 			t.Fatalf("experiment %d = %s, want %s", i, got[i].ID, id)
 		}
-		if got[i].Title == "" || got[i].Run == nil {
+		if got[i].Title == "" || len(got[i].Points) == 0 || got[i].Build == nil {
 			t.Fatalf("experiment %s incomplete", id)
 		}
 	}
