@@ -8,9 +8,10 @@
 //	          [-warn-only] [-wall-warn-only] [-alloc-warn-only] base.json new.json
 //
 // Wall-clock figures (per-experiment wall, events/sec, go-bench ns/op) use
-// -threshold (percent); deterministic headline metrics use -metric-threshold,
-// tight by default because any drift in a seeded simulation means the model's
-// behavior changed; allocation figures (per-experiment allocs/bytes from
+// -threshold (percent); deterministic headline metrics and every
+// experiment's counters use -metric-threshold, tight by default because any
+// drift in a seeded simulation means the model's behavior changed; a nonzero
+// chaos.invariant_violations counter in any experiment always fails; allocation figures (per-experiment allocs/bytes from
 // serial runs, go-bench allocs/op and B/op) use -alloc-threshold. -warn-only
 // prints the report but always exits zero (for non-blocking CI introduction).
 // -wall-warn-only demotes only the wall-clock regressions to warnings while
@@ -49,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	threshold := fs.Float64("threshold", 0, "allowed wall-clock slowdown in percent (0 = default 25)")
-	metricThreshold := fs.Float64("metric-threshold", 0, "allowed headline-metric drift in percent (0 = default 0.1)")
+	metricThreshold := fs.Float64("metric-threshold", 0, "allowed drift of headline metrics and counters in percent (0 = default 0.1)")
 	allocThreshold := fs.Float64("alloc-threshold", 0, "allowed allocation growth in percent (0 = default 10)")
 	warnOnly := fs.Bool("warn-only", false, "report regressions but exit zero")
 	wallWarnOnly := fs.Bool("wall-warn-only", false, "demote wall-clock regressions to warnings; deterministic metrics still fail")

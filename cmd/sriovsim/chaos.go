@@ -7,25 +7,6 @@ import (
 	sriov "repro"
 )
 
-// chaosIDs maps the -chaos selector to experiment ids. fig28/fig29 (the
-// control-plane placement and reconcile figures) ride in the chaos batch
-// because they exercise the same fault-injection and audit machinery.
-func chaosIDs(sel string) ([]string, error) {
-	switch sel {
-	case "fig24", "24":
-		return []string{"fig24"}, nil
-	case "fig25", "25":
-		return []string{"fig25"}, nil
-	case "fig28", "28":
-		return []string{"fig28"}, nil
-	case "fig29", "29":
-		return []string{"fig29"}, nil
-	case "all":
-		return []string{"fig24", "fig25", "fig28", "fig29"}, nil
-	}
-	return nil, fmt.Errorf("-chaos: want fig24, fig25, fig28, fig29 or all, got %q", sel)
-}
-
 // runSoak loops n chaos-soak iterations over consecutive seeds, printing one
 // line per seed, and fails if any iteration leaves an invariant violated or
 // a fault unrecovered. This is the CI soak job's entry point: each iteration

@@ -8,7 +8,7 @@ import (
 )
 
 // TestFlagValueErrorsListChoices pins the CLI contract that a bad value for
-// an enumerated flag (-backend, -chaos) produces an error naming
+// an enumerated flag (-backend) produces an error naming
 // every valid choice — a typo should teach, not just reject. Each case runs
 // the same resolver main() dispatches to.
 func TestFlagValueErrorsListChoices(t *testing.T) {
@@ -18,15 +18,6 @@ func TestFlagValueErrorsListChoices(t *testing.T) {
 		value   string
 		choices []string
 	}{
-		{
-			flag: "-chaos",
-			resolve: func(v string) error {
-				_, err := chaosIDs(v)
-				return err
-			},
-			value:   "fig99",
-			choices: []string{"fig24", "fig25", "fig28", "fig29", "all"},
-		},
 		{
 			flag: "-backend",
 			resolve: func(v string) error {
@@ -53,34 +44,5 @@ func TestFlagValueErrorsListChoices(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestChaosIDsValid pins the valid selector → id mapping.
-func TestChaosIDsValid(t *testing.T) {
-	cases := []struct {
-		sel  string
-		want []string
-	}{
-		{"fig24", []string{"fig24"}},
-		{"24", []string{"fig24"}},
-		{"fig25", []string{"fig25"}},
-		{"28", []string{"fig28"}},
-		{"fig29", []string{"fig29"}},
-		{"all", []string{"fig24", "fig25", "fig28", "fig29"}},
-	}
-	for _, tc := range cases {
-		ids, err := chaosIDs(tc.sel)
-		if err != nil {
-			t.Fatalf("chaosIDs(%q): %v", tc.sel, err)
-		}
-		if len(ids) != len(tc.want) {
-			t.Fatalf("chaosIDs(%q) = %v, want %v", tc.sel, ids, tc.want)
-		}
-		for i := range ids {
-			if ids[i] != tc.want[i] {
-				t.Fatalf("chaosIDs(%q) = %v, want %v", tc.sel, ids, tc.want)
-			}
-		}
 	}
 }

@@ -18,7 +18,7 @@
 //	sriovsim -list                   # list available experiments
 //	sriovsim -alloc-table BENCH.json # per-experiment alloc columns as markdown
 //	sriovsim -serve :8080            # control-plane REST/JSON scenario API
-//	sriovsim -chaos all              # chaos + control-plane figure batch
+//	sriovsim -soak 25                # chaos soak: 25 seeded fault storms + audits
 //
 // Output is byte-identical at any -parallel value: experiments shard into
 // independent series points, each simulated on its own deterministically
@@ -62,7 +62,6 @@ func main() {
 	fastpath := flag.String("fastpath", "auto", "Clos flow fast-path mode for -clos: auto, on, or off")
 	links := flag.String("links", "", "fabric link shape for -hosts as `rateMbps:latencyUs:queueKiB` (0 or empty fields keep defaults)")
 	allocTable := flag.String("alloc-table", "", "print per-experiment allocation columns of this BENCH.json as markdown rows and exit")
-	chaosFig := flag.String("chaos", "", "run the chaos figures: fig24, fig25, or all")
 	chaosSeed := flag.Uint64("chaos-seed", 1, "base seed for -soak iterations")
 	soak := flag.Int("soak", 0, "run this many chaos-soak iterations (seeds chaos-seed..chaos-seed+N-1); exit nonzero on any invariant violation")
 	serve := flag.String("serve", "", "serve the control-plane REST/JSON scenario API on this address (e.g. :8080)")
@@ -85,13 +84,6 @@ func main() {
 		}
 	case *soak > 0:
 		os.Exit(runSoak(*chaosSeed, *soak, *quiet))
-	case *chaosFig != "":
-		ids, err := chaosIDs(*chaosFig)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		os.Exit(runSuite(ids, nil, *parallel, *csv, *quiet, *benchOut, *goBench, *profile, *traceOut, *metricsOut))
 	case *backend != "":
 		kinds := sriov.DatapathBackends()
 		if *backend != "all" {

@@ -1,7 +1,7 @@
 // Package bench is the measurement side of the experiment pipeline: it
 // turns a runner.Summary into a canonical machine-readable BENCH.json
-// (per-experiment wall clock and headline figure metrics, plus process
-// totals — simulated events/sec, allocations), parses
+// (per-experiment wall clock, headline figure metrics and counters, plus
+// process totals — simulated events/sec, allocations), parses
 // `go test -bench` output for merging micro-benchmarks into the same file,
 // and diffs two BENCH files so CI can fail on a perf regression against a
 // committed baseline.
@@ -20,7 +20,7 @@ import (
 )
 
 // Schema is the BENCH.json format version.
-const Schema = 1
+const Schema = 2
 
 // Experiment is one experiment's benchmark record.
 type Experiment struct {
@@ -42,6 +42,10 @@ type Experiment struct {
 	// gates them when both files carry them.
 	Allocs     uint64 `json:"allocs,omitempty"`
 	AllocBytes uint64 `json:"alloc_bytes,omitempty"`
+	// Counters snapshots the experiment's metrics registry: every counter
+	// any layer registered during its tasks. They are deterministic per
+	// seed, so the comparator gates each one like a headline metric.
+	Counters map[string]int64 `json:"counters,omitempty"`
 }
 
 // Totals aggregates the whole run.
@@ -61,38 +65,6 @@ type Totals struct {
 	// (runtime.MemStats TotalAlloc / Mallocs).
 	AllocBytes uint64 `json:"alloc_bytes"`
 	Mallocs    uint64 `json:"mallocs"`
-	// Observability totals from the run's merged metrics registry —
-	// deterministic per seed, so the comparator gates them tightly.
-	// IntrFired sums every queue's fired interrupts, VMExits every exit
-	// reason, MailboxRetries the VF drivers' retransmissions.
-	IntrFired      int64 `json:"intr_fired"`
-	VMExits        int64 `json:"vm_exits"`
-	MailboxRetries int64 `json:"mailbox_retries"`
-	// FabricDrops sums the cluster fabric's tail drops; MigrationDowntimeUs
-	// the inter-host migrations' downtime (µs) — both from the cluster
-	// experiment family.
-	FabricDrops         int64 `json:"fabric_drops"`
-	MigrationDowntimeUs int64 `json:"migration_downtime_us"`
-	// InvariantViolations is the system-wide invariant audit's total across
-	// every experiment (the comparator fails on any nonzero value, baseline
-	// or not); MTTRUs sums the chaos figures' fault-recovery latencies (µs).
-	InvariantViolations int64 `json:"invariant_violations"`
-	MTTRUs              int64 `json:"mttr_us"`
-	// DPCacheHits / DPCacheMisses sum the datapath backends' flow-cache
-	// counters (dp.<backend>.cache_hits / cache_misses) — the OVS megaflow
-	// hit ratio the NFV figures depend on.
-	DPCacheHits   int64 `json:"dp_cache_hits"`
-	DPCacheMisses int64 `json:"dp_cache_misses"`
-	// PlacementChurn counts control-plane policy migrations across the
-	// ctlplane experiment family; CtlP99DowntimeUs sums their p99 migration
-	// downtime (µs) — the controller's headline costs.
-	PlacementChurn   int64 `json:"placement_churn"`
-	CtlP99DowntimeUs int64 `json:"ctl_p99_downtime_us"`
-	// ClosDrops sums the leaf–spine fabric's per-tier tail drops;
-	// FastpathDemotions counts fluid→packet fast-path transitions — both
-	// from the Clos experiment family (fig30/fig31).
-	ClosDrops         int64 `json:"clos_drops"`
-	FastpathDemotions int64 `json:"fastpath_demotions"`
 }
 
 // File is the canonical BENCH.json document.
@@ -122,7 +94,7 @@ func Collect(sum *runner.Summary, allocBytes, mallocs uint64) *File {
 	}
 	for _, r := range sum.Results {
 		e := Experiment{ID: r.ID, Title: r.Title, WallNS: r.Wall.Nanoseconds(), Tasks: r.Tasks,
-			Allocs: r.Allocs, AllocBytes: r.AllocBytes}
+			Allocs: r.Allocs, AllocBytes: r.AllocBytes, Counters: r.Obs.Counters()}
 		if r.Figure != nil {
 			e.ChecksPass = r.Figure.AllChecksPass()
 			e.Metrics = r.Figure.Headline()
@@ -133,26 +105,13 @@ func Collect(sum *runner.Summary, allocBytes, mallocs uint64) *File {
 
 	secs := sum.Wall.Seconds()
 	f.Totals = Totals{
-		WallNS:              sum.Wall.Nanoseconds(),
-		Tasks:               sum.Tasks,
-		TaskWallMeanSec:     sum.TaskWall.Mean(),
-		TaskWallMaxSec:      sum.TaskWall.Max(),
-		SimEvents:           sum.Events,
-		AllocBytes:          allocBytes,
-		Mallocs:             mallocs,
-		IntrFired:           sum.Obs.SumCounters("nic.", ".intr_fired"),
-		VMExits:             sum.Obs.SumCounters("vmm.exits.", ""),
-		MailboxRetries:      sum.Obs.Counter("mailbox.retries").Value(),
-		FabricDrops:         sum.Obs.SumCounters("cluster.link.", ".dropped_pkts"),
-		MigrationDowntimeUs: sum.Obs.Counter("cluster.migration.downtime_us").Value(),
-		InvariantViolations: sum.Obs.Counter("chaos.invariant_violations").Value(),
-		MTTRUs:              sum.Obs.Counter("chaos.mttr_us").Value(),
-		DPCacheHits:         sum.Obs.SumCounters("dp.", ".cache_hits"),
-		DPCacheMisses:       sum.Obs.SumCounters("dp.", ".cache_misses"),
-		PlacementChurn:      sum.Obs.Counter("ctl.placement_churn").Value(),
-		CtlP99DowntimeUs:    sum.Obs.Counter("ctl.p99_downtime_us").Value(),
-		ClosDrops:           sum.Obs.SumCounters("cluster.clos.tier.", ".dropped_pkts"),
-		FastpathDemotions:   sum.Obs.Counter("cluster.clos.fastpath.demotions").Value(),
+		WallNS:          sum.Wall.Nanoseconds(),
+		Tasks:           sum.Tasks,
+		TaskWallMeanSec: sum.TaskWall.Mean(),
+		TaskWallMaxSec:  sum.TaskWall.Max(),
+		SimEvents:       sum.Events,
+		AllocBytes:      allocBytes,
+		Mallocs:         mallocs,
 	}
 	if secs > 0 {
 		f.Totals.EventsPerSec = float64(sum.Events) / secs
@@ -168,16 +127,6 @@ func (f *File) Experiment(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// Metric looks a headline metric up by series name.
-func (e Experiment) Metric(series string) (report.Metric, bool) {
-	for _, m := range e.Metrics {
-		if m.Series == series {
-			return m, true
-		}
-	}
-	return report.Metric{}, false
 }
 
 // Write renders the file as indented JSON at path.

@@ -19,6 +19,11 @@ func baseFile() *File {
 					{Series: "throughput", Unit: "Mbps", Value: 9000},
 				},
 				Allocs: 1_000_000, AllocBytes: 64_000_000,
+				Counters: map[string]int64{
+					"nic.pf0.vf0.intr_fired":     5000,
+					"vmm.exits.eoi_write":        2500,
+					"chaos.invariant_violations": 0,
+				},
 			},
 			{
 				ID: "fig20", Title: "migration", WallNS: 500_000_000, Tasks: 1, ChecksPass: true,
@@ -358,19 +363,90 @@ func TestCompareNewMetricWarnsInsteadOfSilentPass(t *testing.T) {
 func TestCompareNewObsTotalWarnsInsteadOfSilentPass(t *testing.T) {
 	base := baseFile()
 	cur := clone(t, base)
-	cur.Totals.DPCacheHits = 12345
+	cur.Experiments[1].Counters = map[string]int64{"dp.ovs.cache_hits": 12345}
 	r := Compare(base, cur, CompareOptions{})
 	if r.Failed() {
-		t.Fatalf("baseline-less obs total must not fail the gate: %s", r)
+		t.Fatalf("baseline-less counter must not fail the gate: %s", r)
 	}
-	if len(r.Warnings) != 1 || !strings.Contains(r.Warnings[0], "dp_cache_hits") {
-		t.Fatalf("baseline-less obs total not surfaced as a warning: %s", r)
+	if len(r.Warnings) != 1 || !strings.Contains(r.Warnings[0], "fig20") ||
+		!strings.Contains(r.Warnings[0], "dp.ovs.cache_hits") {
+		t.Fatalf("baseline-less counter not surfaced as a warning: %s", r)
 	}
 	// With a recorded baseline it is gated like any deterministic metric.
-	base.Totals.DPCacheHits = 12000
+	base.Experiments[1].Counters = map[string]int64{"dp.ovs.cache_hits": 12000}
 	r = Compare(base, cur, CompareOptions{})
-	if !r.Failed() || len(r.Regressions) != 1 || !strings.Contains(r.Regressions[0], "dp_cache_hits") {
-		t.Fatalf("recorded dp_cache_hits drift not gated: %s", r)
+	if !r.Failed() || len(r.Regressions) != 1 || !strings.Contains(r.Regressions[0], "dp.ovs.cache_hits") {
+		t.Fatalf("recorded dp.ovs.cache_hits drift not gated: %s", r)
+	}
+}
+
+// TestCompareCounterDriftNamesExperiment pins that every counter of every
+// experiment is gated on its own: a one-count drift in one experiment fails
+// and names both the experiment and the counter, and a counter gone from
+// the new file is missing.
+func TestCompareCounterDriftNamesExperiment(t *testing.T) {
+	base := baseFile()
+	cur := clone(t, base)
+	cur.Experiments[0].Counters["vmm.exits.eoi_write"]++ // 2500 → 2501, +0.04% < 0.1%
+	if r := Compare(base, cur, CompareOptions{}); r.Failed() {
+		t.Fatalf("drift within the metric threshold failed the gate: %s", r)
+	}
+	cur.Experiments[0].Counters["vmm.exits.eoi_write"] = 2510 // +0.4% > 0.1%
+	r := Compare(base, cur, CompareOptions{})
+	if !r.Failed() || len(r.Regressions) != 1 {
+		t.Fatalf("counter drift not caught: %s", r)
+	}
+	if msg := r.Regressions[0]; !strings.Contains(msg, "fig08") || !strings.Contains(msg, "vmm.exits.eoi_write") ||
+		!strings.Contains(msg, "2500 → 2510") {
+		t.Fatalf("drift message does not name experiment, counter and values: %s", msg)
+	}
+
+	// A counter that was zero in the baseline gates too: zero is a value.
+	base.Experiments[0].Counters["nic.pf0.vf0.intr_fired"] = 0
+	cur = clone(t, base)
+	cur.Experiments[0].Counters["nic.pf0.vf0.intr_fired"] = 1
+	if r := Compare(base, cur, CompareOptions{}); !r.Failed() || !strings.Contains(r.Regressions[0], "intr_fired") {
+		t.Fatalf("drift off a zero baseline not caught: %s", r)
+	}
+
+	cur = clone(t, baseFile())
+	delete(cur.Experiments[0].Counters, "nic.pf0.vf0.intr_fired")
+	r = Compare(baseFile(), cur, CompareOptions{})
+	if !r.Failed() || len(r.Missing) != 1 || !strings.Contains(r.Missing[0], "fig08") ||
+		!strings.Contains(r.Missing[0], "nic.pf0.vf0.intr_fired") {
+		t.Fatalf("vanished counter not reported missing: %s", r)
+	}
+}
+
+// TestCompareInvariantViolationsFailAnyExperiment pins the absolute gate:
+// a nonzero chaos.invariant_violations in any one experiment fails the
+// comparison and names that experiment, whether or not the baseline
+// recorded the counter for it.
+func TestCompareInvariantViolationsFailAnyExperiment(t *testing.T) {
+	for i, id := range []string{"fig08", "fig20"} {
+		base := baseFile()
+		cur := clone(t, base)
+		if cur.Experiments[i].Counters == nil {
+			cur.Experiments[i].Counters = map[string]int64{}
+		}
+		cur.Experiments[i].Counters["chaos.invariant_violations"] = 1
+		r := Compare(base, cur, CompareOptions{})
+		if !r.Failed() {
+			t.Fatalf("%s: invariant violation passed the gate: %s", id, r)
+		}
+		found := false
+		for _, msg := range r.Regressions {
+			if strings.Contains(msg, id+": chaos.invariant_violations = 1 (must be 0)") {
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("%s: no regression names the violating experiment: %s", id, r)
+		}
+		// A baseline that already carried the violation does not excuse it.
+		if r := Compare(cur, clone(t, cur), CompareOptions{}); !r.Failed() {
+			t.Fatalf("%s: violation recorded in both files passed the gate: %s", id, r)
+		}
 	}
 }
 

@@ -3,7 +3,10 @@ package bench
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
+
+	"repro/internal/report"
 )
 
 // CompareOptions tune the regression gate.
@@ -14,9 +17,9 @@ type CompareOptions struct {
 	// default is generous.
 	WallThresholdPct float64
 	// MetricThresholdPct is the allowed drift of deterministic headline
-	// metrics. The simulation is seeded, so any drift means the model's
-	// behavior changed; the default tolerates floating-point-level noise
-	// only.
+	// metrics and counters. The simulation is seeded, so any drift means
+	// the model's behavior changed; the default tolerates
+	// floating-point-level noise only.
 	MetricThresholdPct float64
 	// WallWarnOnly demotes wall-clock regressions (per-experiment wall,
 	// events/sec, go-bench ns/op) to warnings while deterministic metrics
@@ -85,6 +88,25 @@ func (f *File) hasExperimentAllocs() bool {
 	return false
 }
 
+// counterMetrics lists the experiment's counters as unitless metrics in
+// name order, so they gate through the same path as the headline metrics.
+func (e Experiment) counterMetrics() []report.Metric {
+	out := make([]report.Metric, 0, len(e.Counters))
+	for name, v := range e.Counters {
+		out = append(out, report.Metric{Series: name, Value: float64(v)})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Series < out[j].Series })
+	return out
+}
+
+// unitSuffix renders a unit after a value; counters have none.
+func unitSuffix(unit string) string {
+	if unit == "" {
+		return ""
+	}
+	return " " + unit
+}
+
 // pctChange reports (cur-base)/base in percent; +Inf when base is zero and
 // cur is not.
 func pctChange(base, cur float64) float64 {
@@ -98,9 +120,10 @@ func pctChange(base, cur float64) float64 {
 }
 
 // Compare diffs cur against base. A regression is: a slower wall clock
-// beyond the wall threshold, a deterministic metric drifting beyond the
-// metric threshold, a shape check newly failing, or an experiment/metric
-// present in base but missing from cur.
+// beyond the wall threshold, a deterministic metric or counter drifting
+// beyond the metric threshold, a shape check newly failing, a nonzero
+// invariant-violation count, or an experiment/metric/counter present in
+// base but missing from cur.
 func Compare(base, cur *File, opts CompareOptions) *Report {
 	if opts.WallThresholdPct <= 0 {
 		opts.WallThresholdPct = DefaultCompareOptions().WallThresholdPct
@@ -156,6 +179,38 @@ func Compare(base, cur *File, opts CompareOptions) *Report {
 				fmt.Sprintf("%s: %.4g → %.4g %s (%.0f%%)", label, base, cur, unit, d))
 		}
 	}
+	// gateDeterministic gates one experiment's deterministic figures of one
+	// kind (headline metrics or counters) by name: drift beyond the metric
+	// threshold is a regression, a name gone from cur is missing, and a
+	// name the baseline never recorded is a warning rather than a silent
+	// pass, so the baseline gets re-recorded.
+	gateDeterministic := func(id, kind string, base, cur []report.Metric) {
+		curBy := make(map[string]report.Metric, len(cur))
+		for _, m := range cur {
+			curBy[m.Series] = m
+		}
+		inBase := make(map[string]bool, len(base))
+		for _, bm := range base {
+			inBase[bm.Series] = true
+			cm, ok := curBy[bm.Series]
+			if !ok {
+				r.Missing = append(r.Missing, fmt.Sprintf("%s: %s %q disappeared", id, kind, bm.Series))
+				continue
+			}
+			if d := math.Abs(pctChange(bm.Value, cm.Value)); d > opts.MetricThresholdPct {
+				r.Regressions = append(r.Regressions,
+					fmt.Sprintf("%s: %s %s drifted %.10g → %.10g%s (±%.2f%% > %.2f%%; deterministic — behavior changed)",
+						id, kind, bm.Series, bm.Value, cm.Value, unitSuffix(cm.Unit), d, opts.MetricThresholdPct))
+			}
+		}
+		for _, cm := range cur {
+			if !inBase[cm.Series] {
+				r.Warnings = append(r.Warnings,
+					fmt.Sprintf("%s: %s %q is new (no baseline value — ungated until the baseline is re-recorded)",
+						id, kind, cm.Series))
+			}
+		}
+	}
 
 	for _, be := range base.Experiments {
 		ce, ok := cur.Experiment(be.ID)
@@ -178,31 +233,18 @@ func Compare(base, cur *File, opts CompareOptions) *Report {
 			allocGate(be.ID+": allocs", "allocs", float64(be.Allocs), float64(ce.Allocs))
 			allocGate(be.ID+": alloc bytes", "B", float64(be.AllocBytes), float64(ce.AllocBytes))
 		}
-		for _, bm := range be.Metrics {
-			cm, ok := ce.Metric(bm.Series)
-			if !ok {
-				r.Missing = append(r.Missing, fmt.Sprintf("%s: metric %q disappeared", be.ID, bm.Series))
-				continue
-			}
-			if d := math.Abs(pctChange(bm.Value, cm.Value)); d > opts.MetricThresholdPct {
-				r.Regressions = append(r.Regressions,
-					fmt.Sprintf("%s: %s drifted %.4g → %.4g %s (±%.2f%% > %.2f%%; deterministic metric — behavior changed)",
-						be.ID, bm.Series, bm.Value, cm.Value, cm.Unit, d, opts.MetricThresholdPct))
-			}
-		}
-		// A metric the baseline never recorded cannot be gated — surface it
-		// instead of silently passing, so the baseline gets re-recorded.
-		for _, cm := range ce.Metrics {
-			if _, ok := be.Metric(cm.Series); !ok {
-				r.Warnings = append(r.Warnings,
-					fmt.Sprintf("%s: metric %q is new (no baseline value — ungated until the baseline is re-recorded)",
-						ce.ID, cm.Series))
-			}
-		}
+		gateDeterministic(be.ID, "metric", be.Metrics, ce.Metrics)
+		gateDeterministic(be.ID, "counter", be.counterMetrics(), ce.counterMetrics())
 	}
 	for _, ce := range cur.Experiments {
 		if _, ok := base.Experiment(ce.ID); !ok {
 			r.Warnings = append(r.Warnings, fmt.Sprintf("experiment %s is new (no baseline)", ce.ID))
+		}
+		// The invariant audit is an absolute gate: any violation fails the
+		// comparison regardless of what the baseline recorded.
+		if n := ce.Counters["chaos.invariant_violations"]; n != 0 {
+			r.Regressions = append(r.Regressions,
+				fmt.Sprintf("%s: chaos.invariant_violations = %d (must be 0)", ce.ID, n))
 		}
 	}
 
@@ -226,48 +268,6 @@ func Compare(base, cur *File, opts CompareOptions) *Report {
 				fmt.Sprintf("totals: sim events %d → %d (%+.0f%%)", base.Totals.SimEvents, cur.Totals.SimEvents, d))
 		}
 	}
-	// Observability totals are deterministic counters at fixed suite
-	// content: gate them like headline metrics. A zero baseline field means
-	// the baseline predates these counters — skip, don't fail.
-	obsTotals := []struct {
-		name      string
-		base, cur int64
-	}{
-		{"intr_fired", base.Totals.IntrFired, cur.Totals.IntrFired},
-		{"vm_exits", base.Totals.VMExits, cur.Totals.VMExits},
-		{"mailbox_retries", base.Totals.MailboxRetries, cur.Totals.MailboxRetries},
-		{"fabric_drops", base.Totals.FabricDrops, cur.Totals.FabricDrops},
-		{"migration_downtime_us", base.Totals.MigrationDowntimeUs, cur.Totals.MigrationDowntimeUs},
-		{"mttr_us", base.Totals.MTTRUs, cur.Totals.MTTRUs},
-		{"dp_cache_hits", base.Totals.DPCacheHits, cur.Totals.DPCacheHits},
-		{"dp_cache_misses", base.Totals.DPCacheMisses, cur.Totals.DPCacheMisses},
-		{"placement_churn", base.Totals.PlacementChurn, cur.Totals.PlacementChurn},
-		{"ctl_p99_downtime_us", base.Totals.CtlP99DowntimeUs, cur.Totals.CtlP99DowntimeUs},
-		{"clos_drops", base.Totals.ClosDrops, cur.Totals.ClosDrops},
-		{"fastpath_demotions", base.Totals.FastpathDemotions, cur.Totals.FastpathDemotions},
-	}
-	for _, t := range obsTotals {
-		if t.base == 0 {
-			if t.cur != 0 {
-				r.Warnings = append(r.Warnings,
-					fmt.Sprintf("totals: %s = %d but baseline has none (ungated until the baseline is re-recorded)",
-						t.name, t.cur))
-			}
-			continue
-		}
-		if d := pctChange(float64(t.base), float64(t.cur)); math.Abs(d) > opts.MetricThresholdPct {
-			r.Regressions = append(r.Regressions,
-				fmt.Sprintf("totals: %s drifted %d → %d (±%.2f%% > %.2f%%; deterministic metric — behavior changed)",
-					t.name, t.base, t.cur, math.Abs(d), opts.MetricThresholdPct))
-		}
-	}
-	// The invariant audit is an absolute gate: any violation fails the
-	// comparison regardless of what the baseline recorded.
-	if n := cur.Totals.InvariantViolations; n != 0 {
-		r.Regressions = append(r.Regressions,
-			fmt.Sprintf("totals: invariant_violations = %d (must be 0)", n))
-	}
-
 	// Micro-benchmarks, matched by name; ns/op gets the wall threshold. A
 	// wholly absent section means the benchmarks weren't run this time
 	// (suite-only BENCH vs a full baseline) — warn, don't fail; only an

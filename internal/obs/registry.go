@@ -303,6 +303,18 @@ func (r *Registry) SumCounters(prefix, suffix string) int64 {
 	return t
 }
 
+// Counters snapshots every registered counter's value by name without
+// registering anything (empty, never nil, on a nil registry).
+func (r *Registry) Counters() map[string]int64 {
+	out := make(map[string]int64)
+	if r != nil {
+		for name, c := range r.counters {
+			out[name] = c.v
+		}
+	}
+	return out
+}
+
 // Merge folds o into r: counters and histogram buckets add, gauges take o's
 // value when o ever set one. Merging nil is a no-op. Callers that need
 // deterministic output must merge in a fixed order (float sums and gauge
@@ -378,14 +390,11 @@ type snapshot struct {
 // WriteJSON renders the registry as indented, deterministic JSON.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	s := snapshot{
-		Counters:   make(map[string]int64),
+		Counters:   r.Counters(),
 		Gauges:     make(map[string]float64),
 		Histograms: make(map[string]histJSON),
 	}
 	if r != nil {
-		for name, c := range r.counters {
-			s.Counters[name] = c.v
-		}
 		for name, g := range r.gauges {
 			if g.set {
 				s.Gauges[name] = g.v

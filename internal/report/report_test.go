@@ -123,3 +123,49 @@ func TestCSV(t *testing.T) {
 		t.Fatalf("escape failed:\n%s", f2.CSV())
 	}
 }
+
+// TestHeadline pins what BENCH.json records per figure: one metric per
+// non-empty series, in series order, carrying the series' last value and
+// its unit.
+func TestHeadline(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(f *Figure)
+		want  []Metric
+	}{
+		{"no series", func(*Figure) {}, []Metric{}},
+		{"empty series skipped", func(f *Figure) {
+			f.AddSeries("idle", "%")
+			f.AddSeries("throughput", "Mbps").Add("1", 957)
+			f.AddSeries("loss", "%")
+		}, []Metric{{Series: "throughput", Unit: "Mbps", Value: 957}}},
+		{"series order and last value kept", func(f *Figure) {
+			cpu := f.AddSeries("cpu", "%")
+			cpu.Add("10", 193)
+			cpu.Add("20", 221)
+			f.AddSeries("exits", "1/s").Add("10", 3e4)
+			tput := f.AddSeries("throughput", "Mbps")
+			tput.Add("10", 957)
+			tput.Add("20", 956)
+		}, []Metric{
+			{Series: "cpu", Unit: "%", Value: 221},
+			{Series: "exits", Unit: "1/s", Value: 3e4},
+			{Series: "throughput", Unit: "Mbps", Value: 956},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := &Figure{ID: "fig99"}
+			tc.build(f)
+			got := f.Headline()
+			if len(got) != len(tc.want) {
+				t.Fatalf("Headline = %+v, want %+v", got, tc.want)
+			}
+			for i := range got {
+				if got[i] != tc.want[i] {
+					t.Fatalf("Headline[%d] = %+v, want %+v", i, got[i], tc.want[i])
+				}
+			}
+		})
+	}
+}

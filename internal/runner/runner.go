@@ -64,6 +64,9 @@ type Result struct {
 	// zero otherwise.
 	Allocs     uint64
 	AllocBytes uint64
+	// Obs is the experiment's metrics registry: its tasks' private
+	// registries merged in task order.
+	Obs *obs.Registry
 	// Err is set if any task or the assembly panicked; Figure is then nil.
 	Err error
 }
@@ -82,10 +85,9 @@ type Summary struct {
 	// Events is the number of simulation events the run's engines executed:
 	// the sum of the worker arenas' tallies.
 	Events uint64
-	// Obs is the run's merged metrics registry: every task runs with its
-	// own private registry, and they are merged in task order after the
-	// pool drains, so the merged contents are byte-identical at any
-	// parallelism.
+	// Obs is the run's merged metrics registry: the results' registries
+	// merged in input order, so the merged contents are byte-identical at
+	// any parallelism.
 	Obs *obs.Registry
 }
 
@@ -119,7 +121,7 @@ func Run(specs []experiments.Spec, opts Options) *Summary {
 	pointRes := make([][]any, len(specs))
 	var tasks []task
 	for i, s := range specs {
-		sum.Results[i] = Result{ID: s.ID, Title: s.Title}
+		sum.Results[i] = Result{ID: s.ID, Title: s.Title, Obs: obs.NewRegistry()}
 		pointRes[i] = make([]any, len(s.Points))
 		for j := range s.Points {
 			tasks = append(tasks, task{idx: len(tasks), spec: i, point: j})
@@ -160,12 +162,17 @@ func Run(specs []experiments.Spec, opts Options) *Summary {
 	close(ch)
 	wg.Wait()
 
-	// Merge the per-task registries in task order — counters and histogram
-	// buckets are sums, but gauge overwrites and float arithmetic are
-	// order-sensitive, so a fixed order keeps metrics output deterministic.
+	// Merge the per-task registries in task order into their experiment's,
+	// then those in input order into the run's. Counters and histogram
+	// buckets are sums, but gauge overwrites are order-sensitive; a spec's
+	// tasks are contiguous, so both levels see one fixed order and metrics
+	// output stays deterministic.
+	for _, t := range tasks {
+		sum.Results[t.spec].Obs.Merge(taskRegs[t.idx])
+	}
 	sum.Obs = obs.NewRegistry()
-	for _, reg := range taskRegs {
-		sum.Obs.Merge(reg)
+	for _, r := range sum.Results {
+		sum.Obs.Merge(r.Obs)
 	}
 
 	// Assemble the figures in input order, on this goroutine.
