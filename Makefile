@@ -22,8 +22,8 @@ vet:
 # events/sec, allocations, headline figure metrics).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem | tee gobench.txt
-	$(GO) test -run '^$$' -bench 'LAPICInjectAckEOI|TranslateDMA|RouteDMA' -benchmem \
-		./internal/interrupts/ ./internal/iommu/ ./internal/pcie/ | tee -a gobench.txt
+	$(GO) test -run '^$$' -bench 'LAPICInjectAckEOI|TranslateDMA|RouteDMA|MeterCharge|PoolSubmit' -benchmem \
+		./internal/interrupts/ ./internal/iommu/ ./internal/pcie/ ./internal/cpu/ | tee -a gobench.txt
 	$(GO) run ./cmd/sriovsim -all -parallel 0 -q -gobench gobench.txt -bench-out BENCH.json > /dev/null
 	@echo "wrote BENCH.json"
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/model"
 	"repro/internal/netstack"
 	"repro/internal/units"
@@ -69,6 +70,33 @@ func TestAddPVGuestEndToEnd(t *testing.T) {
 	// PV pays with dom0 CPU.
 	if u.Dom0 < 10 {
 		t.Fatalf("dom0 = %v, want copy cost", u.Dom0)
+	}
+}
+
+func TestKVMSoftwareBackendsChargeTheHost(t *testing.T) {
+	// §4 portability: on KVM the service domain is the host kernel, so the
+	// PV, VMDq and OVS backend threads charge "host", never a phantom dom0.
+	for _, tc := range []struct{ kind, account string }{
+		{"pv", "netback.0"},
+		{"vmdq", "vmdq.0"},
+		{"ovs", "ovs.0"},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			tb := NewTestbed(Config{Ports: 1, Opts: vmm.AllOptimizations, Flavor: vmm.KVM, VMDqThreads: 2})
+			g, err := tb.AddBackendGuest(tc.kind, "guest-1", vmm.HVM, vmm.Kernel2628, 0, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb.StartUDP(g, model.LineRateUDP)
+			tb.Measure(20*units.Millisecond, 100*units.Millisecond)
+			tb.StopAll()
+			if c := tb.Meter.DomainCycles("dom0"); c != 0 {
+				t.Fatalf("KVM run charged %d cycles to dom0; accounts %v", c, tb.Meter.Accounts())
+			}
+			if tb.Meter.Cycles(cpu.Account{Domain: "host", Category: tc.account}) == 0 {
+				t.Fatalf("no backend cycles on host/%s; accounts %v", tc.account, tb.Meter.Accounts())
+			}
+		})
 	}
 }
 

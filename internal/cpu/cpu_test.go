@@ -243,3 +243,70 @@ func TestPoolQueuedJobs(t *testing.T) {
 		t.Fatal("pool should drain")
 	}
 }
+
+func TestMeterSlotSemantics(t *testing.T) {
+	m := NewMeter(testSys)
+	a := Account{"dom0", "netback.0"}
+	s := m.Resolve(a)
+	if len(m.Accounts()) != 0 {
+		t.Fatal("resolving an account must not charge it")
+	}
+	if m.Cycles(Account{"guest-9", "isr"}) != 0 || len(m.index) != 1 {
+		t.Fatal("reading an unknown account must register nothing")
+	}
+	m.ChargeSlot(s, 0)
+	if got := m.Accounts(); len(got) != 1 || got[0] != a {
+		t.Fatalf("a zero charge must join the window: accounts = %v", got)
+	}
+	m.ChargeSlot(s, 100)
+	m.Charge(a, 50)
+	if m.Cycles(a) != 150 {
+		t.Fatalf("slot and account charges must meet: cycles = %d", m.Cycles(a))
+	}
+	m.ResetWindow(units.Time(units.Second))
+	if len(m.Accounts()) != 0 || len(m.Domains()) != 0 || m.Cycles(a) != 0 {
+		t.Fatal("reset must empty the window")
+	}
+	m.ChargeSlot(s, 7)
+	if m.Cycles(a) != 7 || m.Resolve(a) != s {
+		t.Fatal("a slot must stay valid across ResetWindow")
+	}
+}
+
+func TestNegativeSlotChargePanicsNamingAccount(t *testing.T) {
+	m := NewMeter(testSys)
+	s := m.Resolve(Account{"guest-3", "stack"})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "guest-3/stack") {
+			t.Errorf("panic = %q, want it to name guest-3/stack", msg)
+		}
+	}()
+	m.ChargeSlot(s, -1)
+}
+
+func TestWorkerRingWrapsAndGrows(t *testing.T) {
+	// Jobs queued across the ring's wrap point and through a growth keep
+	// FIFO order.
+	eng := sim.NewEngine(1)
+	w := NewWorker(eng, NewMeter(testSys), Account{"dom0", "netback"}, 0)
+	var order []int
+	submit := func(i int) { w.Submit(Job{Cost: 2800, Run: func() { order = append(order, i) }}) }
+	next := 0
+	for round := 0; round < 4; round++ {
+		for k := 0; k < 6+5*round; k++ {
+			submit(next)
+			next++
+		}
+		eng.RunUntil(eng.Now() + units.Time(3*units.Microsecond))
+	}
+	eng.Run()
+	if len(order) != next {
+		t.Fatalf("served %d of %d jobs", len(order), next)
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("order = %v, want FIFO", order)
+		}
+	}
+}

@@ -107,7 +107,7 @@ func (b *Bond) StopMonitor() {
 func (b *Bond) Monitoring() bool { return b.monitor != nil }
 
 func (b *Bond) poll(now units.Time) {
-	b.hv.ChargeGuest(b.dom, "bonding", 1500) // health poll
+	b.hv.ChargeGuest(b.dom, vmm.GuestBonding, 1500) // health poll
 	healthy := b.vf != nil && b.vf.Healthy()
 	switch {
 	case b.activeVF && !healthy:
@@ -147,7 +147,7 @@ func (b *Bond) FailoverToPV(outage units.Duration) {
 	b.activeVF = false
 	b.Failovers++
 	b.outageUntil = b.hv.Engine().Now().Add(outage)
-	b.hv.ChargeGuest(b.dom, "bonding", 40000) // slave switch, gratuitous ARP
+	b.hv.ChargeGuest(b.dom, vmm.GuestBonding, 40000) // slave switch, gratuitous ARP
 }
 
 // DetachVF finishes the hot removal: the guest shuts the VF driver down
@@ -167,5 +167,5 @@ func (b *Bond) ActivateVF(vf *VFDriver) {
 	b.vf = vf
 	b.activeVF = true
 	b.Failovers++
-	b.hv.ChargeGuest(b.dom, "bonding", 40000)
+	b.hv.ChargeGuest(b.dom, vmm.GuestBonding, 40000)
 }

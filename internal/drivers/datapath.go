@@ -96,8 +96,8 @@ func interruptDeliver(hv *vmm.Hypervisor, dom *vmm.Domain, recv *guest.NetReceiv
 	if dom.Paused() {
 		return
 	}
-	hv.ChargeXen(dom, "vmexit", model.ExtIntExitCycles)
-	hv.ChargeXen(dom, "apic", hv.EOICost())
+	hv.ChargeXen(dom, vmm.XenVMExit, model.ExtIntExitCycles)
+	hv.ChargeXen(dom, vmm.XenAPIC, hv.EOICost())
 	recv.OnInterrupt()
 	recv.DeliverBatch(n, bytes)
 }

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"fmt"
 
-	"repro/internal/cpu"
 	"repro/internal/guest"
 	"repro/internal/model"
 	"repro/internal/nic"
@@ -110,7 +109,7 @@ func (fc *FlowCache) Insert(k FlowKey, now units.Time) {
 // to upcall throughput.
 type OVSSwitch struct {
 	hv    *vmm.Hypervisor
-	pool  *cpu.Pool // kernel datapath threads
+	pool  *batchPool[*ovsVif] // kernel datapath threads
 	cache *FlowCache
 
 	vifs map[nic.MAC]*ovsVif
@@ -133,13 +132,13 @@ type ovsVif struct {
 // NewOVSSwitch creates the switch with model.OVSThreads datapath threads
 // and an empty flow cache.
 func NewOVSSwitch(hv *vmm.Hypervisor) *OVSSwitch {
-	return &OVSSwitch{
-		hv: hv,
-		pool: cpu.NewPool(hv.Engine(), hv.Meter(),
-			cpu.Account{Domain: "dom0", Category: "ovs"}, model.OVSThreads, netbackQueueCap),
+	sw := &OVSSwitch{
+		hv:    hv,
 		cache: NewFlowCache(model.OVSFlowCacheCapacity, model.OVSFlowIdleTimeout),
 		vifs:  make(map[nic.MAC]*ovsVif),
 	}
+	sw.pool = newBatchPool(hv, "ovs", model.OVSThreads, sw.done)
+	return sw
 }
 
 // Cache exposes the flow cache (tests and figures read hit/miss counts).
@@ -168,7 +167,7 @@ func (sw *OVSSwitch) InFlight() int64 { return sw.inflight }
 // batch enters classification.
 func (sw *OVSSwitch) AttachWire(q *nic.Queue) {
 	q.DirectDeliver = func(b nic.Batch) {
-		sw.hv.ChargeDom0("bridge", units.Cycles(b.Count)*dom0BridgePerPacketCycles)
+		sw.hv.ChargeDom0(vmm.Dom0Bridge, units.Cycles(b.Count)*dom0BridgePerPacketCycles)
 		sw.classify(b)
 	}
 }
@@ -205,7 +204,7 @@ func (sw *OVSSwitch) classify(b nic.Batch) {
 	// install complete each upcall again, which is exactly the churn
 	// collapse the figure measures.
 	sw.hv.Obs.Counter("dp.ovs.cache_misses").Inc()
-	sw.hv.ChargeDom0("ovs-upcall", model.OVSUpcallCycles)
+	sw.hv.ChargeDom0(vmm.Dom0OVSUpcall, model.OVSUpcallCycles)
 	sw.inflight += int64(b.Count)
 	sw.hv.Engine().After(model.OVSUpcallLatency, "ovs:upcall", func() {
 		sw.inflight -= int64(b.Count)
@@ -227,13 +226,16 @@ func (sw *OVSSwitch) fastPath(b nic.Batch) {
 		units.Cycles(b.Count)*costs.PerPacket +
 		units.Cycles(float64(b.Bytes)*costs.PerByte)
 	sw.inflight += int64(b.Count)
-	ok = sw.pool.Submit(cpu.Job{Cost: cost, Run: func() {
-		sw.Delivered += int64(b.Count)
-		sw.inflight -= int64(b.Count)
-		interruptDeliver(sw.hv, v.dom, v.recv, b.Count, b.Bytes)
-	}})
-	if !ok {
+	if !sw.pool.submit(cost, v, b) {
 		sw.Dropped += int64(b.Count)
 		sw.inflight -= int64(b.Count)
 	}
+}
+
+// done interrupts the destination guest once a datapath thread has
+// finished a batch.
+func (sw *OVSSwitch) done(v *ovsVif, b nic.Batch) {
+	sw.Delivered += int64(b.Count)
+	sw.inflight -= int64(b.Count)
+	interruptDeliver(sw.hv, v.dom, v.recv, b.Count, b.Bytes)
 }

@@ -3,7 +3,6 @@ package drivers
 import (
 	"fmt"
 
-	"repro/internal/cpu"
 	"repro/internal/guest"
 	"repro/internal/interrupts"
 	"repro/internal/model"
@@ -23,7 +22,7 @@ import (
 // Threads > 1 models.
 type Netback struct {
 	hv   *vmm.Hypervisor
-	pool *cpu.Pool
+	pool *batchPool[*PVNic]
 
 	vifs map[nic.MAC]*PVNic
 
@@ -54,11 +53,9 @@ const dom0BridgePerPacketCycles units.Cycles = 900
 
 // NewNetback creates a backend with the given number of copy threads.
 func NewNetback(hv *vmm.Hypervisor, threads int) *Netback {
-	return &Netback{
-		hv:   hv,
-		pool: cpu.NewPool(hv.Engine(), hv.Meter(), cpu.Account{Domain: "dom0", Category: "netback"}, threads, netbackQueueCap),
-		vifs: make(map[nic.MAC]*PVNic),
-	}
+	nb := &Netback{hv: hv, vifs: make(map[nic.MAC]*PVNic)}
+	nb.pool = newBatchPool(hv, "netback", threads, nb.done)
+	return nb
 }
 
 // Threads reports the backend thread count.
@@ -70,7 +67,7 @@ func (nb *Netback) Threads() int { return nb.pool.Size() }
 func (nb *Netback) AttachWire(q *nic.Queue) {
 	q.DirectDeliver = func(b nic.Batch) {
 		// dom0's native receive path for the batch.
-		nb.hv.ChargeDom0("bridge", units.Cycles(b.Count)*dom0BridgePerPacketCycles)
+		nb.hv.ChargeDom0(vmm.Dom0Bridge, units.Cycles(b.Count)*dom0BridgePerPacketCycles)
 		nb.FromNIC(b)
 	}
 }
@@ -183,17 +180,19 @@ func (nb *Netback) serve(b nic.Batch) {
 	cost := units.Cycles(contention * (float64(model.NetbackPerBatchCycles) +
 		float64(b.Count)*float64(model.NetbackPerPacketCycles) +
 		float64(b.Bytes)*model.NetbackCopyCyclesPerByte))
-	ok = nb.pool.Submit(cpu.Job{Cost: cost, Run: func() {
-		// Grant map/copy hypercalls for the batch.
-		nb.hv.GuestHypercall(v.dom, 1500)
-		nb.Delivered += int64(b.Count)
-		nb.inflight -= int64(b.Count)
-		v.deliver(b)
-	}})
-	if !ok {
+	if !nb.pool.submit(cost, v, b) {
 		nb.Dropped += int64(b.Count)
 		nb.inflight -= int64(b.Count)
 	}
+}
+
+// done completes a batch's copy on a backend thread: grant map/copy
+// hypercalls, then the frontend kick.
+func (nb *Netback) done(v *PVNic, b nic.Batch) {
+	nb.hv.GuestHypercall(v.dom, 1500)
+	nb.Delivered += int64(b.Count)
+	nb.inflight -= int64(b.Count)
+	v.deliver(b)
 }
 
 // deliver kicks the frontend with a completed batch.
@@ -207,12 +206,12 @@ func (v *PVNic) deliver(b nic.Batch) {
 		// PV-on-HVM: the event channel is layered on a LAPIC vector
 		// (§6.5): dom0 pays the conversion, the guest takes an emulated
 		// interrupt with an EOI.
-		v.hv.ChargeDom0("evtchn-conv", model.PVNicHVMInterruptExtra)
+		v.hv.ChargeDom0(vmm.Dom0EvtchnConv, model.PVNicHVMInterruptExtra)
 		if v.dom.Paused() {
 			return
 		}
-		v.hv.ChargeXen(v.dom, "vmexit", model.ExtIntExitCycles)
-		v.hv.ChargeXen(v.dom, "apic", v.hv.EOICost())
+		v.hv.ChargeXen(v.dom, vmm.XenVMExit, model.ExtIntExitCycles)
+		v.hv.ChargeXen(v.dom, vmm.XenAPIC, v.hv.EOICost())
 		v.pending = b
 		v.frontendInterrupt()
 	default:
@@ -261,13 +260,7 @@ func (nb *Netback) LocalTransfer(b nic.Batch) {
 	cost := units.Cycles(float64(model.PVLocalPerBatchCycles) +
 		float64(b.Count)*float64(model.PVLocalPerPacketCycles) +
 		float64(b.Bytes)*model.PVLocalCopyCyclesPerByte)
-	ok = nb.pool.Submit(cpu.Job{Cost: cost, Run: func() {
-		nb.hv.GuestHypercall(v.dom, 1500)
-		nb.Delivered += int64(b.Count)
-		nb.inflight -= int64(b.Count)
-		v.deliver(b)
-	}})
-	if !ok {
+	if !nb.pool.submit(cost, v, b) {
 		nb.Dropped += int64(b.Count)
 		nb.inflight -= int64(b.Count)
 	}

@@ -93,7 +93,7 @@ func (sp *SoftPassthrough) AddVif(dom *vmm.Domain, mac nic.MAC, recv *guest.NetR
 	if _, dup := sp.vifs[mac]; dup {
 		return fmt.Errorf("drivers: MAC %v already has a passthrough vif", mac)
 	}
-	sp.hv.ChargeDom0("swpass-setup", model.SwPassVifSetupCycles)
+	sp.hv.ChargeDom0(vmm.Dom0SwPassSetup, model.SwPassVifSetupCycles)
 	v := &swpassVif{sp: sp, dom: dom, mac: mac, recv: recv}
 	v.fire = v.interrupt
 	sp.vifs[mac] = v
@@ -142,7 +142,7 @@ func (v *swpassVif) interrupt() {
 	v.ring = nic.Batch{}
 	v.sp.Delivered += int64(b.Count)
 	v.sp.inflight -= int64(b.Count)
-	v.sp.hv.ChargeXen(v.dom, "swpass-audit",
+	v.sp.hv.ChargeXen(v.dom, vmm.XenSwPassAudit,
 		units.Cycles(b.Count)*model.DatapathCostTable(v.sp.Kind()).PerPacket)
 	interruptDeliver(v.sp.hv, v.dom, v.recv, b.Count, b.Bytes)
 }

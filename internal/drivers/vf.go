@@ -159,7 +159,7 @@ func AttachVFDriver(hv *vmm.Hypervisor, dom *vmm.Domain, port *nic.Port, vf int,
 			pps := float64(d.samplePkts) / model.AICSamplePeriod.Seconds()
 			d.samplePkts = 0
 			d.applyRate(d.policy.Rate(pps))
-			hv.ChargeGuest(dom, "isr", 800) // sampling work
+			hv.ChargeGuest(dom, vmm.GuestISR, 800) // sampling work
 		})
 	}
 	return d, nil
@@ -290,7 +290,7 @@ func (d *VFDriver) onMboxTimeout() {
 	}
 	d.MboxRetries++
 	d.obsRetries.Inc()
-	d.hv.ChargeGuest(d.dom, "isr", 2000) // retransmit path
+	d.hv.ChargeGuest(d.dom, vmm.GuestISR, 2000) // retransmit path
 	d.sendPending()
 }
 
@@ -324,7 +324,7 @@ func (d *VFDriver) abortMbox() {
 }
 
 func (d *VFDriver) onMailbox(msg nic.Message) {
-	d.hv.ChargeGuest(d.dom, "isr", 3000) // mailbox doorbell handling
+	d.hv.ChargeGuest(d.dom, vmm.GuestISR, 3000) // mailbox doorbell handling
 	switch msg.Kind {
 	case nic.MsgAck, nic.MsgNack:
 		req := nic.MsgKind(msg.Arg)
@@ -360,7 +360,7 @@ func (d *VFDriver) Reinit() {
 	if off := d.vconfig.FindCapability(pcie.CapIDPCIExp); off != 0 {
 		d.vconfig.Write16(off+pcie.PCIeDevCtlOff, pcie.PCIeDevCtlFLR)
 	}
-	d.hv.ChargeGuest(d.dom, "isr", 50000) // igbvf reset path
+	d.hv.ChargeGuest(d.dom, vmm.GuestISR, 50000) // igbvf reset path
 	d.hv.Engine().After(model.FLRLatency, "vf:reinit", func() {
 		d.reinitInFlight = false
 		if !d.attached {

@@ -133,7 +133,7 @@ func (vh *Vhost) enqueue(b nic.Batch) {
 func (vh *Vhost) poll(sim.Time) {
 	vh.polls++
 	budget := model.ServerFreq.CyclesIn(model.VhostPollInterval)
-	vh.hv.ChargeDom0("vhost", budget)
+	vh.hv.ChargeDom0(vmm.Dom0Vhost, budget)
 	costs := model.DatapathCostTable(vh.Kind())
 	remaining := budget
 	worked := false

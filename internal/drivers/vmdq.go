@@ -3,7 +3,6 @@ package drivers
 import (
 	"fmt"
 
-	"repro/internal/cpu"
 	"repro/internal/guest"
 	"repro/internal/model"
 	"repro/internal/nic"
@@ -23,7 +22,7 @@ import (
 // driver does").
 type VMDqBridge struct {
 	hv       *vmm.Hypervisor
-	pool     *cpu.Pool // dom0 threads doing protection/translation
+	pool     *batchPool[*PVNic] // dom0 threads doing protection/translation
 	fallback *Netback
 
 	vifs       map[nic.MAC]*vmdqVif
@@ -52,18 +51,19 @@ type vmdqVif struct {
 // NewVMDqBridge creates the bridge with dom0 service threads and a fallback
 // netback sharing the thread count.
 func NewVMDqBridge(hv *vmm.Hypervisor, threads int) *VMDqBridge {
-	return &VMDqBridge{
+	br := &VMDqBridge{
 		hv:       hv,
-		pool:     cpu.NewPool(hv.Engine(), hv.Meter(), cpu.Account{Domain: "dom0", Category: "vmdq"}, threads, netbackQueueCap),
 		fallback: NewNetback(hv, threads),
 		vifs:     make(map[nic.MAC]*vmdqVif),
 	}
+	br.pool = newBatchPool(hv, "vmdq", threads, br.done)
+	return br
 }
 
 // AttachWire connects the bridge to the NIC queue carrying guest traffic.
 func (br *VMDqBridge) AttachWire(q *nic.Queue) {
 	q.DirectDeliver = func(b nic.Batch) {
-		br.hv.ChargeDom0("bridge", units.Cycles(b.Count)*300) // queue demux is cheap
+		br.hv.ChargeDom0(vmm.Dom0Bridge, units.Cycles(b.Count)*300) // queue demux is cheap
 		br.FromNIC(b)
 	}
 }
@@ -107,13 +107,15 @@ func (br *VMDqBridge) FromNIC(b nic.Batch) {
 	}
 	br.inflight += int64(b.Count)
 	cost := units.Cycles(b.Count) * model.VMDqPerPacketDom0Cycles
-	ok = br.pool.Submit(cpu.Job{Cost: cost, Run: func() {
-		br.DeliveredQueued += int64(b.Count)
-		br.inflight -= int64(b.Count)
-		v.pv.deliver(b)
-	}})
-	if !ok {
+	if !br.pool.submit(cost, v.pv, b) {
 		br.Dropped += int64(b.Count)
 		br.inflight -= int64(b.Count)
 	}
+}
+
+// done kicks the guest once a translation thread has finished a batch.
+func (br *VMDqBridge) done(pv *PVNic, b nic.Batch) {
+	br.DeliveredQueued += int64(b.Count)
+	br.inflight -= int64(b.Count)
+	pv.deliver(b)
 }

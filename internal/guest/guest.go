@@ -74,7 +74,7 @@ func (r *NetReceiver) Domain() *vmm.Domain { return r.dom }
 // scheduling, softirq dispatch).
 func (r *NetReceiver) OnInterrupt() {
 	r.Stats.Interrupts++
-	r.hv.ChargeGuest(r.dom, "isr", model.GuestPerInterruptCycles)
+	r.hv.ChargeGuest(r.dom, vmm.GuestISR, model.GuestPerInterruptCycles)
 }
 
 // DeliverBatch processes one drained batch through the stack to the
@@ -96,7 +96,7 @@ func (r *NetReceiver) DeliverBatch(n int, bytes units.Size) int {
 		// through the hypervisor to switch page tables.
 		perPacketCost += model.PVMSyscallExtraCyclesPerPacket
 	}
-	r.hv.ChargeGuest(r.dom, "stack", units.Cycles(accepted)*perPacketCost)
+	r.hv.ChargeGuest(r.dom, vmm.GuestStack, units.Cycles(accepted)*perPacketCost)
 	r.Stats.AppPackets += int64(accepted)
 	r.Stats.AppBytes += perPkt * units.Size(accepted)
 	r.samplePackets += int64(accepted)
@@ -157,7 +157,7 @@ func (s *NetSender) SendMessage(msgSize, frame units.Size) int {
 	if s.dom.Type == vmm.PVM {
 		cost += model.PVMSyscallExtraCyclesPerPacket
 	}
-	s.hv.ChargeGuest(s.dom, "send", cost)
+	s.hv.ChargeGuest(s.dom, vmm.GuestSend, cost)
 	s.Stats.Messages++
 	s.Stats.Packets += int64(pkts)
 	s.Stats.Bytes += msgSize

@@ -132,6 +132,27 @@ const (
 	ExitHypercall ExitReason = "hypercall"
 )
 
+// exitKind indexes the exit reasons, so recording an exit looks nothing
+// up by name.
+type exitKind uint8
+
+const (
+	exitExtInt exitKind = iota
+	exitAPICEOI
+	exitAPICOther
+	exitMSIMask
+	exitIO
+	exitHypercall
+	numExitKinds
+)
+
+// exitReasons and exitShorts name each kind: its Exits key and its
+// "vmm.exits.<short>" metric segment.
+var (
+	exitReasons = [numExitKinds]ExitReason{ExitExtInt, ExitAPICEOI, ExitAPICOther, ExitMSIMask, ExitIO, ExitHypercall}
+	exitShorts  = [numExitKinds]string{"extint", "eoi", "apic_other", "msi_mask", "io", "hypercall"}
+)
+
 // ExitRecord accumulates count and hypervisor cycles per exit reason.
 type ExitRecord struct {
 	Count  int64
@@ -162,6 +183,10 @@ type Domain struct {
 	// corrupted marks a guest whose state was mis-emulated (§5.2's risk —
 	// "the risk is contained within the guest").
 	corrupted bool
+
+	// slots holds the domain's meter account per guest category, resolved
+	// when the domain is created.
+	slots [numGuestCategories]cpu.Slot
 }
 
 // LAPIC exposes the domain's virtual LAPIC (HVM only; nil otherwise).
@@ -181,11 +206,6 @@ func (d *Domain) Paused() bool { return d.paused }
 
 // Corrupted reports whether EOI fast-path mis-emulation damaged the guest.
 func (d *Domain) Corrupted() bool { return d.corrupted }
-
-// Account returns the domain's CPU account for a category.
-func (d *Domain) Account(category string) cpu.Account {
-	return cpu.Account{Domain: d.Name, Category: category}
-}
 
 // HotplugEvent is a virtual ACPI hot-plug notification.
 type HotplugEvent struct {
@@ -209,8 +229,14 @@ type Hypervisor struct {
 	dom0 *Domain
 	iovm *IOVM
 
-	// Exits is the per-reason VM-exit trace backing Fig. 7.
-	Exits map[ExitReason]*ExitRecord
+	// Exits is the per-reason VM-exit trace backing Fig. 7. A reason
+	// appears on its first exit; exitRecs holds the same records by kind.
+	Exits    map[ExitReason]*ExitRecord
+	exitRecs [numExitKinds]*ExitRecord
+	// xenSlots and dom0Slots hold the "xen" and service-domain meter
+	// accounts per category.
+	xenSlots  [numXenCategories]cpu.Slot
+	dom0Slots [numDom0Categories]cpu.Slot
 	// Counters holds miscellaneous event counts.
 	Counters *stats.Counters
 	// Tracer, when set, records control-plane events (assignment,
@@ -220,9 +246,9 @@ type Hypervisor struct {
 
 	// Obs, when set, mirrors per-reason exit counts into named counters
 	// ("vmm.exits.<reason>") so the metrics pipeline sees them without
-	// reaching into Exits. exitCounters caches the instrument per reason.
+	// reaching into Exits. exitCounters caches the instrument per kind.
 	Obs          *obs.Registry
-	exitCounters map[ExitReason]*obs.Counter
+	exitCounters [numExitKinds]*obs.Counter
 }
 
 // New creates a Xen-flavoured hypervisor bound to the simulation engine,
@@ -252,6 +278,8 @@ func NewFlavored(eng *sim.Engine, meter *cpu.Meter, fabric *pcie.Fabric, mmu *io
 		service = "host"
 	}
 	h.dom0 = h.createDomain(service, Dom0, KernelRHEL5, nil)
+	resolveSlots(meter, "xen", xenCategoryNames[:], h.xenSlots[:])
+	resolveSlots(meter, service, dom0CategoryNames[:], h.dom0Slots[:])
 	h.iovm = newIOVM(h)
 	return h
 }
@@ -305,6 +333,7 @@ func (h *Hypervisor) createDomain(name string, t DomainType, k KernelConfig, dm 
 		upcalls: make(map[interrupts.EventChannelPort]func()),
 		grants:  mem.NewGrantTable(h.nextID, 4096),
 	}
+	resolveSlots(h.meter, name, guestCategoryNames[:], d.slots[:])
 	switch t {
 	case HVM:
 		d.lapic = &interrupts.LAPIC{}
@@ -405,6 +434,78 @@ func (h *Hypervisor) DMACheckFor(d *Domain, fn *pcie.Function) func(units.Size) 
 
 // ---- Cycle charging ----
 
+// GuestCategory, XenCategory and Dom0Category name the activity half of a
+// CPU account, one type per charging domain: what a domain's own kernel, the
+// hypervisor or the service domain spent the cycles on. Each set is fixed,
+// so every domain resolves its meter accounts once, at creation, into an
+// array indexed by category.
+type (
+	GuestCategory uint8
+	XenCategory   uint8
+	Dom0Category  uint8
+)
+
+// Guest categories: cycles in a domain's own context (dom0's included).
+const (
+	GuestISR     GuestCategory = iota // interrupt handler
+	GuestStack                        // network stack, per packet
+	GuestSend                         // transmit path, per message
+	GuestUpcall                       // event-channel upcall
+	GuestMSIMask                      // §5.1 mask/unmask exit, guest side
+	GuestTimer                        // timer ticks
+	GuestBonding                      // bonding driver
+	GuestIRQ                          // bare-metal interrupt dispatch
+	numGuestCategories
+)
+
+// Xen categories: hypervisor cycles spent on behalf of a domain.
+const (
+	XenVMExit      XenCategory = iota // external-interrupt and trapped-access exits
+	XenAPIC                           // virtual LAPIC emulation (EOI, TPR)
+	XenEvtchn                         // event-channel send
+	XenMSIMask                        // §5.1 mask/unmask emulation
+	XenHypercall                      // PV hypercalls (grant ops)
+	XenTimer                          // timer-tick delivery
+	XenSwPassAudit                    // software passthrough DMA audit
+	numXenCategories
+)
+
+// Dom0 categories: service-domain work (dom0 on Xen, the host on KVM).
+const (
+	Dom0Bridge       Dom0Category = iota // native receive and bridge
+	Dom0EvtchnConv                       // PV-on-HVM event→vector conversion
+	Dom0OVSUpcall                        // OVS userspace classification
+	Dom0SwPassSetup                      // software passthrough vif setup
+	Dom0PFDriver                         // PF driver control path
+	Dom0Vhost                            // vhost poll threads
+	Dom0Send                             // transmit path, per message
+	Dom0Migration                        // live-migration page copies
+	Dom0DeviceModel                      // user-level device model
+	Dom0PCIBack                          // pciback config access
+	Dom0Housekeeping                     // fixed baseline
+	Dom0PerGuest                         // per-guest residual
+	numDom0Categories
+)
+
+// The category names, as the meter's accounts show them.
+var (
+	guestCategoryNames = [numGuestCategories]string{
+		"isr", "stack", "send", "upcall", "msi-mask", "timer", "bonding", "irq"}
+	xenCategoryNames = [numXenCategories]string{
+		"vmexit", "apic", "evtchn", "msi-mask", "hypercall", "timer", "swpass-audit"}
+	dom0CategoryNames = [numDom0Categories]string{
+		"bridge", "evtchn-conv", "ovs-upcall", "swpass-setup", "pfdriver", "vhost",
+		"send", "migration", "devicemodel", "pciback", "housekeeping", "perguest"}
+)
+
+// resolveSlots resolves the meter account of each category name for a
+// domain into slots.
+func resolveSlots(m *cpu.Meter, domain string, names []string, slots []cpu.Slot) {
+	for i, name := range names {
+		slots[i] = m.Resolve(cpu.Account{Domain: domain, Category: name})
+	}
+}
+
 // pollutionActive reports whether the §5.1 TLB/cache pollution penalty
 // applies: an HVM guest bouncing mask/unmask through the device model.
 func (h *Hypervisor) pollutionActive(d *Domain) bool {
@@ -413,74 +514,54 @@ func (h *Hypervisor) pollutionActive(d *Domain) bool {
 
 // ChargeGuest charges guest-context cycles, applying the pollution factor
 // when the unoptimized mask path is thrashing caches.
-func (h *Hypervisor) ChargeGuest(d *Domain, category string, c units.Cycles) {
+func (h *Hypervisor) ChargeGuest(d *Domain, c GuestCategory, n units.Cycles) {
 	if h.pollutionActive(d) {
-		c = units.Cycles(float64(c) * model.MaskPollutionFactor)
+		n = units.Cycles(float64(n) * model.MaskPollutionFactor)
 	}
-	h.meter.Charge(d.Account(category), c)
+	h.meter.ChargeSlot(d.slots[c], n)
 }
 
 // ChargeXen charges hypervisor cycles (attributed to "xen" as the paper's
 // stacked bars do), with the same pollution rule.
-func (h *Hypervisor) ChargeXen(d *Domain, category string, c units.Cycles) {
+func (h *Hypervisor) ChargeXen(d *Domain, c XenCategory, n units.Cycles) {
 	if h.pollutionActive(d) {
-		c = units.Cycles(float64(c) * model.MaskPollutionFactor)
+		n = units.Cycles(float64(n) * model.MaskPollutionFactor)
 	}
-	h.meter.Charge(cpu.Account{Domain: "xen", Category: category}, c)
+	h.meter.ChargeSlot(h.xenSlots[c], n)
 }
 
 // ChargeDom0 charges service-domain cycles (dom0 on Xen, the host on KVM).
-func (h *Hypervisor) ChargeDom0(category string, c units.Cycles) {
-	h.meter.Charge(cpu.Account{Domain: h.dom0.Name, Category: category}, c)
+func (h *Hypervisor) ChargeDom0(c Dom0Category, n units.Cycles) {
+	h.meter.ChargeSlot(h.dom0Slots[c], n)
 }
 
-func (h *Hypervisor) recordExit(r ExitReason, c units.Cycles) {
-	h.recordExitN(r, 1, c)
+func (h *Hypervisor) recordExit(k exitKind, c units.Cycles) {
+	h.recordExitN(k, 1, c)
 }
 
-func (h *Hypervisor) recordExitN(r ExitReason, n int64, c units.Cycles) {
-	rec := h.Exits[r]
+func (h *Hypervisor) recordExitN(k exitKind, n int64, c units.Cycles) {
+	rec := h.exitRecs[k]
 	if rec == nil {
 		rec = &ExitRecord{}
-		h.Exits[r] = rec
+		h.exitRecs[k] = rec
+		h.Exits[exitReasons[k]] = rec
 	}
 	rec.Count += n
 	rec.Cycles += c
 	if h.Obs != nil {
-		ctr := h.exitCounters[r]
+		ctr := h.exitCounters[k]
 		if ctr == nil {
-			if h.exitCounters == nil {
-				h.exitCounters = make(map[ExitReason]*obs.Counter)
-			}
-			ctr = h.Obs.Counter("vmm.exits." + exitShort(r))
-			h.exitCounters[r] = ctr
+			ctr = h.Obs.Counter("vmm.exits." + exitShorts[k])
+			h.exitCounters[k] = ctr
 		}
 		ctr.Add(n)
 	}
 }
 
-// exitShort maps an exit reason to its metric-name segment.
-func exitShort(r ExitReason) string {
-	switch r {
-	case ExitExtInt:
-		return "extint"
-	case ExitAPICEOI:
-		return "eoi"
-	case ExitAPICOther:
-		return "apic_other"
-	case ExitMSIMask:
-		return "msi_mask"
-	case ExitIO:
-		return "io"
-	case ExitHypercall:
-		return "hypercall"
-	}
-	return string(r)
-}
-
 // ResetExitTrace clears the Fig. 7 trace.
 func (h *Hypervisor) ResetExitTrace() {
 	h.Exits = make(map[ExitReason]*ExitRecord)
+	h.exitRecs = [numExitKinds]*ExitRecord{}
 }
 
 // TotalExitCycles sums hypervisor cycles across exit reasons.

@@ -252,12 +252,12 @@ func TestPollutionFactor(t *testing.T) {
 	// path is active.
 	b := newBed(Optimizations{})
 	g := b.guest(t, "guest-1", HVM, KernelRHEL5) // masks at runtime, no accel
-	b.hv.ChargeGuest(g, "stack", 10000)
+	b.hv.ChargeGuest(g, GuestStack, 10000)
 	dirty := b.meter.DomainCycles("guest-1")
 
 	b2 := newBed(Optimizations{MaskAccel: true})
 	g2 := b2.guest(t, "guest-1", HVM, KernelRHEL5)
-	b2.hv.ChargeGuest(g2, "stack", 10000)
+	b2.hv.ChargeGuest(g2, GuestStack, 10000)
 	clean := b2.meter.DomainCycles("guest-1")
 	if dirty <= clean {
 		t.Fatalf("pollution factor missing: dirty=%d clean=%d", dirty, clean)
