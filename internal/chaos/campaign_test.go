@@ -34,7 +34,7 @@ func chaosRig(t *testing.T, seed uint64) (*core.Testbed, *core.Guest, *fault.Inj
 	}
 	g.Bond.StartMonitor(0)
 	tb.StartUDP(g, model.LineRateUDP)
-	inj := fault.NewInjector(tb.Eng, nil)
+	inj := fault.NewInjector(tb.Eng)
 	inj.Watch(tb.Ports[0], tb.PFs[0])
 	inj.Watch(tb.Ports[1], tb.PFs[1])
 	return tb, g, inj
@@ -152,7 +152,7 @@ func TestArmAppliesWholePlan(t *testing.T) {
 
 func TestArmReportsInvalidScenario(t *testing.T) {
 	tb := core.NewTestbed(core.Config{Ports: 1, Opts: vmm.AllOptimizations})
-	inj := fault.NewInjector(tb.Eng, nil)
+	inj := fault.NewInjector(tb.Eng)
 	inj.Watch(tb.Ports[0], tb.PFs[0])
 	err := chaos.Arm(inj, []fault.Scenario{
 		{At: units.Time(units.Second), Kind: fault.DeviceReset, Port: 0},

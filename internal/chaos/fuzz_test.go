@@ -70,7 +70,7 @@ func FuzzChaosCampaign(f *testing.F) {
 		}
 
 		tb := core.NewTestbed(core.Config{Seed: seed, Ports: ports, Opts: vmm.AllOptimizations})
-		inj := fault.NewInjector(tb.Eng, nil)
+		inj := fault.NewInjector(tb.Eng)
 		for i := range tb.Ports {
 			inj.Watch(tb.Ports[i], tb.PFs[i])
 		}

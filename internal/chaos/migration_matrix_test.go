@@ -49,7 +49,7 @@ func matrixRun(t *testing.T, scenarios []fault.Scenario) (*cluster.Cluster, *clu
 		t.Fatal(err)
 	}
 
-	inj := fault.NewInjector(c.Eng, nil)
+	inj := fault.NewInjector(c.Eng)
 	inj.Watch(h0.Bed.Ports[0], h0.Bed.PFs[0]) // port 0: migration source
 	inj.Watch(h1.Bed.Ports[0], h1.Bed.PFs[0]) // port 1: migration target
 	if err := chaos.Arm(inj, scenarios); err != nil {

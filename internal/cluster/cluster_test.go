@@ -183,7 +183,7 @@ func TestMigrationRetriesThroughLinkFlap(t *testing.T) {
 	})
 	// Flap the source uplink mid-pre-copy: in-flight chunks are lost at
 	// the PHY and must be retransmitted.
-	in := fault.NewInjector(c.Eng, nil)
+	in := fault.NewInjector(c.Eng)
 	p := in.Watch(h0.Bed.Ports[0], h0.Bed.PFs[0])
 	if err := in.Schedule(fault.Scenario{At: units.Time(2 * units.Second), Kind: fault.LinkFlap, Port: p, Duration: 200 * units.Millisecond}); err != nil {
 		t.Fatal(err)

@@ -20,7 +20,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pcie"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/vmm"
 	"repro/internal/workload"
@@ -444,20 +443,13 @@ func (tb *Testbed) AddBondedGuestOn(name string, typ vmm.DomainType, k vmm.Kerne
 	return g, nil
 }
 
-// SetTracer installs a trace buffer on the hypervisor and every port, so
-// control-plane, fault and recovery events land in one timeline.
-func (tb *Testbed) SetTracer(b *trace.Buffer) {
-	tb.HV.Tracer = b
+// SetTrace installs an event sink on the hypervisor and every port, so
+// control-plane, fault and recovery events and the ports' per-hop packet
+// spans land in one timeline. A nil sink turns tracing off.
+func (tb *Testbed) SetTrace(s *obs.Sink) {
+	tb.HV.Trace = s
 	for _, p := range tb.Ports {
-		p.Tracer = b
-	}
-}
-
-// SetSpans installs a span buffer on every port, so drained batches leave
-// per-hop spans for the trace exporter.
-func (tb *Testbed) SetSpans(s *obs.SpanBuffer) {
-	for _, p := range tb.Ports {
-		p.Spans = s
+		p.Trace = s
 	}
 }
 

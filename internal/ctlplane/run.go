@@ -127,7 +127,7 @@ func NewRun(sc *Scenario, seed uint64, reg *obs.Registry, arena *sim.Arena) (*Ru
 		warmSnap: make(map[string]int64),
 	}
 	for _, h := range cl.Hosts() {
-		inj := fault.NewInjector(cl.Eng, nil)
+		inj := fault.NewInjector(cl.Eng)
 		for i, p := range h.Bed.Ports {
 			inj.Watch(p, h.Bed.PFs[i])
 		}

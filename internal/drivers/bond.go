@@ -1,6 +1,8 @@
 package drivers
 
 import (
+	"fmt"
+
 	"repro/internal/model"
 	"repro/internal/nic"
 	"repro/internal/sim"
@@ -114,8 +116,10 @@ func (b *Bond) poll(now units.Time) {
 		b.upStreak = 0
 		b.FaultFailovers++
 		b.LastFailoverAt = now
-		b.hv.Tracer.Emitf(now, "bond", "failover",
-			"VF slave unhealthy, switching to PV (outage %v)", model.FaultFailoverOutage)
+		if tr := b.hv.Trace; tr != nil {
+			tr.Emit(now, "bond", "failover",
+				fmt.Sprintf("VF slave unhealthy, switching to PV (outage %v)", model.FaultFailoverOutage))
+		}
 		b.FailoverToPV(model.FaultFailoverOutage)
 		if b.vf != nil {
 			b.vf.TryRecover()
@@ -131,7 +135,7 @@ func (b *Bond) poll(now units.Time) {
 			b.upStreak = 0
 			b.Failbacks++
 			b.LastFailbackAt = now
-			b.hv.Tracer.Emitf(now, "bond", "failback", "VF slave healthy again")
+			b.hv.Trace.Emit(now, "bond", "failback", "VF slave healthy again")
 			b.ActivateVF(b.vf)
 		}
 	}

@@ -281,9 +281,10 @@ func (d *VFDriver) onMboxTimeout() {
 		d.MboxFailures++
 		d.obsFailures.Inc()
 		d.mboxDead = true
-		d.port.Tracer.Emitf(d.hv.Engine().Now(), "vf", "mbox-dead",
-			"%s: %s abandoned after %d attempts",
-			d.queue.Name(), d.mboxPending.Kind, d.mboxAttempts)
+		if tr := d.port.Trace; tr != nil {
+			tr.Emit(d.hv.Engine().Now(), "vf", "mbox-dead", fmt.Sprintf("%s: %s abandoned after %d attempts",
+				d.queue.Name(), d.mboxPending.Kind, d.mboxAttempts))
+		}
 		d.mboxPending = nil
 		d.mboxBacklog = nil
 		return
@@ -355,8 +356,9 @@ func (d *VFDriver) Reinit() {
 	d.MACConfirmed = false
 	d.abortMbox()
 	fn := d.queue.Function()
-	d.port.Tracer.Emitf(d.hv.Engine().Now(), "vf", "reinit",
-		"%s: FLR + driver reset", fn.Name())
+	if tr := d.port.Trace; tr != nil {
+		tr.Emit(d.hv.Engine().Now(), "vf", "reinit", fn.Name()+": FLR + driver reset")
+	}
 	if off := d.vconfig.FindCapability(pcie.CapIDPCIExp); off != 0 {
 		d.vconfig.Write16(off+pcie.PCIeDevCtlOff, pcie.PCIeDevCtlFLR)
 	}
@@ -419,7 +421,9 @@ func (d *VFDriver) TryRecover() {
 	}
 	d.lastWatchdog = now
 	d.watchdogArmed = true
-	d.port.Tracer.Emitf(now, "vf", "watchdog", "%s: reset", d.queue.Name())
+	if tr := d.port.Trace; tr != nil {
+		tr.Emit(now, "vf", "watchdog", d.queue.Name()+": reset")
+	}
 	d.Reinit()
 }
 

@@ -92,7 +92,7 @@ func runRecovery(seed uint64, reg *obs.Registry, arena *sim.Arena, name string, 
 	g.Bond.StartMonitor(0)
 	tb.StartUDP(g, model.LineRateUDP)
 
-	inj := fault.NewInjector(tb.Eng, nil)
+	inj := fault.NewInjector(tb.Eng)
 	inj.Watch(tb.Ports[0], tb.PFs[0])
 	inj.Watch(tb.Ports[1], tb.PFs[1])
 	plan := chaos.Spaced(tb.Eng, chaos.Config{
@@ -243,7 +243,7 @@ func runStorm(seed uint64, reg *obs.Registry, arena *sim.Arena, rate float64) st
 	cell := stormCell{rate: rate}
 	for i := 0; i < fig25Hosts; i++ {
 		h := c.Host(i)
-		inj := fault.NewInjector(c.Eng, nil)
+		inj := fault.NewInjector(c.Eng)
 		inj.Watch(h.Bed.Ports[0], h.Bed.PFs[0])
 		plan := chaos.Plan(c.Eng, chaos.Config{
 			Name:  fmt.Sprintf("fig25:h%d", i),
@@ -350,7 +350,7 @@ func ChaosSoak(seed uint64) SoakResult {
 	g.Bond.StartMonitor(0)
 	tb.StartUDP(g, model.LineRateUDP)
 
-	inj := fault.NewInjector(tb.Eng, nil)
+	inj := fault.NewInjector(tb.Eng)
 	inj.Watch(tb.Ports[0], tb.PFs[0])
 	inj.Watch(tb.Ports[1], tb.PFs[1])
 	plan := chaos.Plan(tb.Eng, chaos.Config{

@@ -17,7 +17,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/vmm"
 )
@@ -54,10 +53,10 @@ type Spec struct {
 	Build func(results []any) *report.Figure
 
 	// Observe, when set, re-runs a representative workload with the given
-	// trace and span sinks installed — the backing for `sriovsim
-	// -trace-out`. It is observational only: the metrics it produces are
-	// discarded, never merged into suite output.
-	Observe func(tr *trace.Buffer, spans *obs.SpanBuffer)
+	// event sink installed — the backing for `sriovsim -trace-out`. It is
+	// observational only: the metrics it produces are discarded, never
+	// merged into suite output.
+	Observe func(s *obs.Sink)
 }
 
 // Run is the serial path: it executes the points in order on one arena,
@@ -90,19 +89,19 @@ func registerPoints(id, title string, points []Point, build func([]any) *report.
 }
 
 // registerWhole registers an experiment that runs as a single point: run
-// builds every testbed on the worker's arena and returns the finished
-// figure. Its engines keep the experiment's own seeds, and its metrics stay
-// in the testbeds' private registries.
-func registerWhole(id, title string, run func(arena *sim.Arena) *report.Figure) {
+// builds every testbed on the worker's arena, reporting into the point's
+// registry, and returns the finished figure. Its engines keep the
+// experiment's own seeds.
+func registerWhole(id, title string, run func(reg *obs.Registry, arena *sim.Arena) *report.Figure) {
 	register(Spec{
 		ID: id, Title: title,
-		Points: []Point{{Label: "all", Run: func(_ uint64, _ *obs.Registry, arena *sim.Arena) any { return run(arena) }}},
+		Points: []Point{{Label: "all", Run: func(_ uint64, reg *obs.Registry, arena *sim.Arena) any { return run(reg, arena) }}},
 		Build:  func(results []any) *report.Figure { return results[0].(*report.Figure) },
 	})
 }
 
 // setObserve attaches an Observe hook to an already-registered experiment.
-func setObserve(id string, fn func(tr *trace.Buffer, spans *obs.SpanBuffer)) {
+func setObserve(id string, fn func(s *obs.Sink)) {
 	s, ok := registry[id]
 	if !ok {
 		panic("experiments: setObserve on unknown id " + id)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/netstack"
 	"repro/internal/nic"
+	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -32,7 +33,7 @@ func init() {
 const ext10gInternalRate = 16 * units.Gbps
 
 // Ext10G runs 1–7 guests sharing one 10 GbE SR-IOV port.
-func Ext10G(arena *sim.Arena) *report.Figure {
+func Ext10G(reg *obs.Registry, arena *sim.Arena) *report.Figure {
 	f := &report.Figure{
 		ID:    "ext10g",
 		Title: "Extension: 1–7 VMs sharing a single 10 GbE SR-IOV port",
@@ -55,6 +56,7 @@ func Ext10G(arena *sim.Arena) *report.Figure {
 		Ports:    1,
 		PortRate: 10 * units.Gbps,
 		Opts:     vmm.AllOptimizations,
+		Obs:      reg,
 		Arena:    arena,
 	}
 	const offered = 9570 * units.Mbps
@@ -72,7 +74,7 @@ func Ext10G(arena *sim.Arena) *report.Figure {
 	}
 
 	// Reference: the Fig. 12 all-optimized configuration (10 VMs on 10×1G).
-	ref := runSRIOV(core.Config{Ports: 10, Opts: vmm.AllOptimizations, Arena: arena}, 10,
+	ref := runSRIOV(core.Config{Ports: 10, Opts: vmm.AllOptimizations, Obs: reg, Arena: arena}, 10,
 		vmm.HVM, vmm.Kernel2628, aicPolicy, model.LineRateUDP, aicWarm)
 
 	for _, p := range tputS.Points {
@@ -102,7 +104,7 @@ func init() {
 // guest; the transaction rate is dominated by the interrupt coalescing
 // delay on the receive path, so the policy ordering inverts relative to the
 // CPU figures — exactly the trade-off AIC's latency floor exists to bound.
-func ExtRR(arena *sim.Arena) *report.Figure {
+func ExtRR(reg *obs.Registry, arena *sim.Arena) *report.Figure {
 	f := &report.Figure{
 		ID:    "extrr",
 		Title: "Extension: single-stream request/response rate per coalescing policy",
@@ -128,7 +130,7 @@ func ExtRR(arena *sim.Arena) *report.Figure {
 	}
 	var rates = map[string]float64{}
 	for _, pc := range pols {
-		tb := core.NewTestbed(core.Config{Ports: 1, Opts: vmm.AllOptimizations, Arena: arena})
+		tb := core.NewTestbed(core.Config{Ports: 1, Opts: vmm.AllOptimizations, Obs: reg, Arena: arena})
 		g, err := tb.AddSRIOVGuest("server", vmm.HVM, vmm.Kernel2628, 0, 0, pc.policy)
 		if err != nil {
 			panic(err)

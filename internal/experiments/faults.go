@@ -8,6 +8,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/model"
 	"repro/internal/netstack"
+	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -60,9 +61,9 @@ type faultResult struct {
 // runFaultCase builds a fresh two-port testbed with one bonded guest (VF on
 // port 0, PV standby on port 1), starts line-rate UDP and the bond health
 // monitor, injects the fault at t = 2 s and measures recovery until t = 8 s.
-func runFaultCase(c faultCase, arena *sim.Arena) faultResult {
+func runFaultCase(c faultCase, reg *obs.Registry, arena *sim.Arena) faultResult {
 	tb := core.NewTestbed(core.Config{
-		Ports: 2, Opts: vmm.AllOptimizations, NetbackThreads: 2, Arena: arena,
+		Ports: 2, Opts: vmm.AllOptimizations, NetbackThreads: 2, Obs: reg, Arena: arena,
 	})
 	g, err := tb.AddBondedGuestOn("guest-1", vmm.HVM, vmm.Kernel2628, 0, 0, 1, netstack.DefaultAIC())
 	if err != nil {
@@ -85,7 +86,7 @@ func runFaultCase(c faultCase, arena *sim.Arena) faultResult {
 	})
 	defer tick.Stop()
 
-	inj := fault.NewInjector(tb.Eng, nil)
+	inj := fault.NewInjector(tb.Eng)
 	inj.Watch(tb.Ports[0], tb.PFs[0])
 	inj.MustSchedule(fault.Scenario{At: units.Time(faultAt), Kind: c.kind, Port: 0, VF: 0, Duration: c.dur})
 	if c.kind == fault.MailboxDrop {
@@ -155,7 +156,7 @@ func runFaultCase(c faultCase, arena *sim.Arena) faultResult {
 
 // Faults runs every fault scenario and reports loss, retries and recovery
 // latency per type.
-func Faults(arena *sim.Arena) *report.Figure {
+func Faults(reg *obs.Registry, arena *sim.Arena) *report.Figure {
 	f := &report.Figure{
 		ID:    "faults",
 		Title: "Fault injection on a DNIS bond: loss and time-to-recover by fault type",
@@ -180,7 +181,7 @@ func Faults(arena *sim.Arena) *report.Figure {
 	ttr := f.AddSeries("time to recover", "ms")
 	retries := f.AddSeries("mailbox retries", "")
 	for _, c := range cases {
-		r := runFaultCase(c, arena)
+		r := runFaultCase(c, reg, arena)
 		lost.Add(c.name, r.lostPkts)
 		ttr.Add(c.name, r.ttr.Seconds()*1e3)
 		retries.Add(c.name, float64(r.retries))

@@ -9,6 +9,7 @@ import (
 	"repro/internal/migration"
 	"repro/internal/model"
 	"repro/internal/netstack"
+	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -40,10 +41,10 @@ type migrationRun struct {
 
 // runMigrationTimeline runs netperf against a guest on one 1 GbE port and
 // migrates it at t = 4.5 s, recording a 100 ms-bucket goodput timeline.
-func runMigrationTimeline(dnis bool, arena *sim.Arena) migrationRun {
+func runMigrationTimeline(dnis bool, reg *obs.Registry, arena *sim.Arena) migrationRun {
 	tb := core.NewTestbed(core.Config{
 		Ports: 1, Opts: vmm.AllOptimizations,
-		NetbackThreads: 2, GuestMemory: model.GuestMemory, Arena: arena,
+		NetbackThreads: 2, GuestMemory: model.GuestMemory, Obs: reg, Arena: arena,
 	})
 	var g *core.Guest
 	var err error
@@ -146,7 +147,7 @@ func outageWindow(s *stats.Series, from units.Duration) (units.Duration, units.D
 }
 
 // Fig20 is the PV-NIC migration baseline.
-func Fig20(arena *sim.Arena) *report.Figure {
+func Fig20(reg *obs.Registry, arena *sim.Arena) *report.Figure {
 	f := &report.Figure{
 		ID:    "fig20",
 		Title: "Migration timeline: HVM guest with a PV network driver",
@@ -157,7 +158,7 @@ func Fig20(arena *sim.Arena) *report.Figure {
 			"service down from ≈10.4 s to ≈11.8 s (stop-and-copy)",
 		},
 	}
-	run := runMigrationTimeline(false, arena)
+	run := runMigrationTimeline(false, reg, arena)
 	fillTimeline(f, run.series)
 
 	f.CheckTrue("migration completed", run.result != nil, "")
@@ -176,7 +177,7 @@ func Fig20(arena *sim.Arena) *report.Figure {
 }
 
 // Fig21 is the SR-IOV + DNIS migration.
-func Fig21(arena *sim.Arena) *report.Figure {
+func Fig21(reg *obs.Registry, arena *sim.Arena) *report.Figure {
 	f := &report.Figure{
 		ID:    "fig21",
 		Title: "Migration timeline: HVM guest with SR-IOV and DNIS",
@@ -190,7 +191,7 @@ func Fig21(arena *sim.Arena) *report.Figure {
 			"service down ≈10.3 s to ≈11.8 s, on par with the PV driver",
 		},
 	}
-	run := runMigrationTimeline(true, arena)
+	run := runMigrationTimeline(true, reg, arena)
 	fillTimeline(f, run.series)
 
 	f.CheckTrue("migration completed", run.result != nil, "")

@@ -13,9 +13,9 @@ import (
 
 	"repro/internal/drivers"
 	"repro/internal/nic"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -93,8 +93,8 @@ type Injector struct {
 	eng     *sim.Engine
 	targets []*target
 
-	// Tracer receives "fault" events (nil-safe).
-	Tracer *trace.Buffer
+	// Trace, when set, receives "fault" events.
+	Trace *obs.Sink
 	// Counters accumulates per-kind injection and recovery counts.
 	Counters *stats.Counters
 	// Injected counts applied scenarios.
@@ -108,9 +108,9 @@ type Injector struct {
 	OnCleared func(Scenario)
 }
 
-// NewInjector creates an injector on the engine. The tracer may be nil.
-func NewInjector(eng *sim.Engine, tracer *trace.Buffer) *Injector {
-	return &Injector{eng: eng, Tracer: tracer, Counters: stats.NewCounters()}
+// NewInjector creates an injector on the engine.
+func NewInjector(eng *sim.Engine) *Injector {
+	return &Injector{eng: eng, Counters: stats.NewCounters()}
 }
 
 // Watch registers a port (with its PF driver) as a fault target and hooks
@@ -177,8 +177,10 @@ func (in *Injector) apply(s Scenario) {
 	now := in.eng.Now()
 	in.Injected++
 	in.Counters.Add("inject:"+s.Kind.String(), 1)
-	in.Tracer.Emitf(now, "fault", "inject", "%s port=%s vf=%d dur=%v",
-		s.Kind, t.port.Name(), s.VF, s.Duration)
+	if tr := in.Trace; tr != nil {
+		tr.Emit(now, "fault", "inject", fmt.Sprintf("%s port=%s vf=%d dur=%v",
+			s.Kind, t.port.Name(), s.VF, s.Duration))
+	}
 	if in.OnInject != nil {
 		in.OnInject(s)
 	}
@@ -229,8 +231,9 @@ func (in *Injector) apply(s Scenario) {
 // cleared marks the end of a fault's injection window.
 func (in *Injector) cleared(s Scenario, t *target) {
 	in.Counters.Add("cleared:"+s.Kind.String(), 1)
-	in.Tracer.Emitf(in.eng.Now(), "fault", "cleared", "%s port=%s vf=%d",
-		s.Kind, t.port.Name(), s.VF)
+	if tr := in.Trace; tr != nil {
+		tr.Emit(in.eng.Now(), "fault", "cleared", fmt.Sprintf("%s port=%s vf=%d", s.Kind, t.port.Name(), s.VF))
+	}
 	if in.OnCleared != nil {
 		in.OnCleared(s)
 	}

@@ -9,7 +9,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/model"
 	"repro/internal/netstack"
-	"repro/internal/trace"
+	"repro/internal/obs"
 	"repro/internal/units"
 	"repro/internal/vmm"
 )
@@ -25,7 +25,7 @@ func bondRig(t *testing.T) (*core.Testbed, *core.Guest, *fault.Injector) {
 	}
 	g.Bond.StartMonitor(0)
 	tb.StartUDP(g, model.LineRateUDP)
-	inj := fault.NewInjector(tb.Eng, nil)
+	inj := fault.NewInjector(tb.Eng)
 	inj.Watch(tb.Ports[0], tb.PFs[0])
 	return tb, g, inj
 }
@@ -102,9 +102,9 @@ func TestSurpriseRemovalWatchdogRecovery(t *testing.T) {
 // for the determinism check.
 func faultRun(t *testing.T) string {
 	tb, g, inj := bondRig(t)
-	tr := trace.NewBuffer(8192)
-	tb.SetTracer(tr)
-	inj.Tracer = tr
+	tr := obs.NewSink(8192, 0)
+	tb.SetTrace(tr)
+	inj.Trace = tr
 
 	ms := units.Millisecond
 	inj.MustSchedule(fault.Scenario{At: units.Time(1000 * ms), Kind: fault.LinkFlap, Port: 0, Duration: 300 * ms})
@@ -121,7 +121,9 @@ func faultRun(t *testing.T) string {
 	tb.StopAll()
 
 	var sb strings.Builder
-	tr.Dump(&sb)
+	for _, e := range tr.Events() {
+		sb.WriteString(e.String() + "\n")
+	}
 	return sb.String()
 }
 
@@ -140,7 +142,7 @@ func TestFaultScheduleIsDeterministic(t *testing.T) {
 
 func TestScheduleValidation(t *testing.T) {
 	tb := core.NewTestbed(core.Config{Ports: 1, Opts: vmm.AllOptimizations})
-	inj := fault.NewInjector(tb.Eng, nil)
+	inj := fault.NewInjector(tb.Eng)
 	// A rejected scenario names both the fault kind and the bad target, so
 	// generated campaigns fail diagnosably.
 	err := inj.Schedule(fault.Scenario{Kind: fault.LinkFlap, Port: 3, Duration: units.Second})
@@ -181,7 +183,7 @@ func TestScheduleValidation(t *testing.T) {
 
 func TestMustSchedulePanicNamesScenario(t *testing.T) {
 	tb := core.NewTestbed(core.Config{Ports: 1, Opts: vmm.AllOptimizations})
-	inj := fault.NewInjector(tb.Eng, nil)
+	inj := fault.NewInjector(tb.Eng)
 	inj.Watch(tb.Ports[0], tb.PFs[0])
 	defer func() {
 		p := recover()

@@ -7,7 +7,7 @@ package guest
 
 import (
 	"repro/internal/model"
-	"repro/internal/stats"
+	"repro/internal/obs"
 	"repro/internal/units"
 	"repro/internal/vmm"
 )
@@ -38,7 +38,7 @@ type NetReceiver struct {
 
 	// Latency histograms packet delivery latency (ring wait), the §5.3
 	// trade-off the coalescing policies move along.
-	Latency *stats.Histogram
+	Latency *obs.Hist
 
 	// OnDeliver, when set, runs after each application delivery with the
 	// accepted packet count — request/response workloads hook the
@@ -54,7 +54,7 @@ type NetReceiver struct {
 func NewNetReceiver(hv *vmm.Hypervisor, dom *vmm.Domain) *NetReceiver {
 	return &NetReceiver{
 		hv: hv, dom: dom, Burst: model.SocketBurstCapacity,
-		Latency: stats.NewHistogram(
+		Latency: obs.NewHist(
 			50*units.Microsecond, 100*units.Microsecond, 250*units.Microsecond,
 			500*units.Microsecond, units.Millisecond, 2*units.Millisecond,
 			5*units.Millisecond,

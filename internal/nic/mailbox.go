@@ -144,8 +144,10 @@ func (m *Mailbox) verdict(dir Direction, msg Message) SendVerdict {
 	v := m.OnSend(dir, msg)
 	if v.Drop {
 		m.Dropped++
-		m.port.Tracer.Emitf(m.port.eng.Now(), "mailbox", "drop",
-			"%s %s vf=%d lost in flight", dir, msg.Kind, msg.VF)
+		if tr := m.port.Trace; tr != nil {
+			tr.Emit(m.port.eng.Now(), "mailbox", "drop",
+				fmt.Sprintf("%s %s vf=%d lost in flight", dir, msg.Kind, msg.VF))
+		}
 	}
 	return v
 }
@@ -217,8 +219,10 @@ func (m *Mailbox) Broadcast(kind MsgKind) int {
 	for _, vf := range vfs {
 		if err := m.SendToVF(Message{Kind: kind, VF: vf}); err != nil {
 			m.BroadcastDropped++
-			m.port.Tracer.Emitf(m.port.eng.Now(), "mailbox", "broadcast-drop",
-				"%s to VF%d: %v", kind, vf, err)
+			if tr := m.port.Trace; tr != nil {
+				tr.Emit(m.port.eng.Now(), "mailbox", "broadcast-drop",
+					fmt.Sprintf("%s to VF%d: %v", kind, vf, err))
+			}
 			continue
 		}
 		posted++

@@ -17,7 +17,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pcie"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -278,8 +277,9 @@ func (q *Queue) SetStalled(s bool) {
 		return
 	}
 	q.stalled = s
-	q.port.Tracer.Emitf(q.port.eng.Now(), "nic", "stall",
-		"%s stalled=%v", q.name, s)
+	if tr := q.port.Trace; tr != nil {
+		tr.Emit(q.port.eng.Now(), "nic", "stall", fmt.Sprintf("%s stalled=%v", q.name, s))
+	}
 	if !s {
 		q.maybeInterrupt()
 	}
@@ -417,12 +417,12 @@ func (q *Queue) Drain(max int) (int, units.Size) {
 			// for the trace exporter, one per hop, then release the slot
 			// back to the ring (guest-drain time is where pooled arrival
 			// state is returned).
-			if sp := q.port.Spans; sp != nil && rec.intrAt != 0 {
+			if tr := q.port.Trace; tr != nil && rec.intrAt != 0 {
 				if rec.sentAt > 0 {
-					sp.Add(q.name, "doorbell→dma", rec.sentAt, rec.when.Sub(rec.sentAt))
+					tr.Add(q.name, "doorbell→dma", rec.sentAt, rec.when.Sub(rec.sentAt))
 				}
-				sp.Add(q.name, "dma→intr", rec.when, rec.intrAt.Sub(rec.when))
-				sp.Add(q.name, "intr→drain", rec.intrAt, now.Sub(rec.intrAt))
+				tr.Add(q.name, "dma→intr", rec.when, rec.intrAt.Sub(rec.when))
+				tr.Add(q.name, "intr→drain", rec.intrAt, now.Sub(rec.intrAt))
 			}
 			q.arrivals.popFront()
 		}
@@ -491,7 +491,7 @@ func (q *Queue) fire(now units.Time) {
 			q.vmTrack.ObserveDoorbellToIntr(now.Sub(rec.sentAt), n)
 		}
 	}
-	q.port.Tracer.Emit(now, "nic", "intr", q.name)
+	q.port.Trace.Emit(now, "nic", "intr", q.name)
 	q.throttledUntil = now.Add(q.itrInterval)
 	q.Sink(q)
 }
@@ -506,17 +506,14 @@ type Port struct {
 	// linkUp is the physical link state; faults flap it. Starts up.
 	linkUp bool
 
-	// Tracer, when set, receives link/stall/FLR/mailbox fault events.
-	// Nil-safe: trace.Buffer methods accept a nil receiver.
-	Tracer *trace.Buffer
+	// Trace, when set, receives interrupt, link, stall, FLR and mailbox
+	// events, and per-batch hop spans for the trace exporter.
+	Trace *obs.Sink
 
 	// Obs, when set, receives the port's metrics: per-queue interrupt
 	// counters, mailbox counters and per-hop latency histograms. Nil
 	// disables metric collection (nil instruments are no-ops).
 	Obs *obs.Registry
-
-	// Spans, when set, collects per-batch hop spans for the trace exporter.
-	Spans *obs.SpanBuffer
 
 	dev *pcie.Device
 	pf  *pcie.Function
@@ -733,7 +730,9 @@ func (p *Port) SetLink(up bool) {
 		return
 	}
 	p.linkUp = up
-	p.Tracer.Emitf(p.eng.Now(), "nic", "link", "%s up=%v", p.name, up)
+	if tr := p.Trace; tr != nil {
+		tr.Emit(p.eng.Now(), "nic", "link", fmt.Sprintf("%s up=%v", p.name, up))
+	}
 }
 
 // LinkUp reports the physical link state.
@@ -746,7 +745,7 @@ func (p *Port) flrVF(i int) {
 	q := p.vfQueues[i]
 	q.ResetHW()
 	p.mailbox.clearVF(i)
-	p.Tracer.Emitf(p.eng.Now(), "nic", "flr", "%s", q.name)
+	p.Trace.Emit(p.eng.Now(), "nic", "flr", q.name)
 }
 
 // ResetDevice is a global device reset: every queue (PF and VF) loses its
@@ -758,7 +757,7 @@ func (p *Port) ResetDevice() {
 		q.ResetHW()
 	}
 	p.mailbox.clearAll()
-	p.Tracer.Emitf(p.eng.Now(), "nic", "device-reset", "%s", p.name)
+	p.Trace.Emit(p.eng.Now(), "nic", "device-reset", p.name)
 }
 
 // Device returns the port's PCIe device for fabric attachment.

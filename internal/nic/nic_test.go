@@ -517,3 +517,17 @@ func TestTransmitToWireOverdrive(t *testing.T) {
 	}
 	eng.Run()
 }
+
+// TestSetLinkNilTraceZeroAllocs pins the tracing-off cost of an event site
+// with a formatted detail: with no sink installed, SetLink must not box
+// its arguments for a Sprintf that never runs.
+func TestSetLinkNilTraceZeroAllocs(t *testing.T) {
+	p := newTestPort(sim.NewEngine(1))
+	up := true
+	if n := testing.AllocsPerRun(100, func() {
+		up = !up
+		p.SetLink(up)
+	}); n != 0 {
+		t.Fatalf("SetLink with a nil sink: %.0f allocs/op, want 0", n)
+	}
+}

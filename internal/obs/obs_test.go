@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -39,7 +38,7 @@ func TestNilSafety(t *testing.T) {
 	pt.ObserveIntrToDrain(1, 1)
 	var sb *SpanBuffer
 	sb.Add("t", "n", 0, 1)
-	if sb.Spans() != nil || sb.Total() != 0 {
+	if sb.Spans() != nil {
 		t.Fatal("nil span buffer must be inert")
 	}
 	var buf bytes.Buffer
@@ -166,9 +165,10 @@ func TestSpanBufferWraps(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.Add("q", "hop", units.Time(i), units.Duration(i))
 	}
+	s.Emit(9, "c", "n", "") // a span buffer keeps no instants
 	sp := s.Spans()
-	if s.Total() != 5 || len(sp) != 3 {
-		t.Fatalf("total=%d len=%d", s.Total(), len(sp))
+	if len(sp) != 3 || s.Events() == nil || len(s.Events()) != 0 {
+		t.Fatalf("spans=%d events=%v", len(sp), s.Events())
 	}
 	for i, want := range []units.Time{2, 3, 4} {
 		if sp[i].Start != want {
@@ -207,9 +207,9 @@ func TestWriteJSONShape(t *testing.T) {
 }
 
 func TestWriteChromeTrace(t *testing.T) {
-	tr := trace.NewBuffer(16)
+	tr := NewSink(16, 0)
 	tr.Emit(units.Time(5*units.Microsecond), "nic", "intr", "eth0/vf0")
-	tr.Emitf(units.Time(9*units.Microsecond), "irq", "bind", "vector=%d", 34)
+	tr.Emit(units.Time(9*units.Microsecond), "irq", "bind", "vector=34")
 	spans := []Span{
 		{Track: "eth0/vf0", Name: "dma_to_intr", Start: units.Time(2 * units.Microsecond), Dur: 3 * units.Microsecond},
 		{Track: "eth0/vf0", Name: "intr_to_drain", Start: units.Time(5 * units.Microsecond), Dur: 0},

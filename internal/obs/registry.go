@@ -1,12 +1,12 @@
 // Package obs is the observability layer: a metrics registry of named
 // counters, gauges and fixed-bucket latency histograms cheap enough for
-// per-packet use, per-hop packet-path tracking (PathTrack, SpanBuffer), and
-// a Perfetto/Chrome trace-event exporter.
+// per-packet use, per-hop packet-path tracking (PathTrack), the one event
+// sink (Sink) and a Perfetto/Chrome trace-event exporter.
 //
-// Everything follows the trace.Buffer nil-safety contract: a nil *Registry
-// hands out nil instruments, and every instrument method is a no-op (and
-// allocation-free) on a nil receiver, so instrumented hot paths cost one
-// branch when observability is off.
+// Everything is nil-safe: a nil *Registry hands out nil instruments, and
+// every instrument and Sink method is a no-op (and allocation-free) on a
+// nil receiver, so instrumented hot paths cost one branch when
+// observability is off.
 //
 // Registries are single-goroutine, like the simulation engines they observe.
 // A parallel runner gives every task its own registry and merges them in a
@@ -100,9 +100,9 @@ func DefaultLatencyBounds() []units.Duration {
 	}
 }
 
-// Hist is a fixed-bound duration histogram with batch observation. Unlike
-// stats.Histogram it supports weighted observes (a delivered batch of n
-// packets shares one delta) and merging.
+// Hist is a fixed-bound duration histogram with batch observation: a
+// delivered batch of n packets shares one delta. Registry.Histogram hands
+// out registered ones; NewHist makes one the registry never sees.
 type Hist struct {
 	bounds []units.Duration // upper bounds, ascending
 	counts []int64          // len(bounds)+1; last is overflow
@@ -111,7 +111,10 @@ type Hist struct {
 	max    units.Duration
 }
 
-func newHist(bounds []units.Duration) *Hist {
+// NewHist creates an unregistered histogram with the given strictly
+// ascending upper bounds; observations above the last land in an overflow
+// bucket.
+func NewHist(bounds ...units.Duration) *Hist {
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
 			panic("obs: histogram bounds must be strictly ascending")
@@ -272,7 +275,7 @@ func (r *Registry) Histogram(name string, bounds ...units.Duration) *Hist {
 		if len(bounds) == 0 {
 			bounds = DefaultLatencyBounds()
 		}
-		h = newHist(bounds)
+		h = NewHist(bounds...)
 		r.hists[name] = h
 	}
 	return h
@@ -334,7 +337,7 @@ func (r *Registry) Merge(o *Registry) {
 	for name, h := range o.hists {
 		mine := r.hists[name]
 		if mine == nil {
-			r.hists[name] = newHist(h.bounds)
+			r.hists[name] = NewHist(h.bounds...)
 			mine = r.hists[name]
 		}
 		mine.merge(h)

@@ -1,7 +1,7 @@
 // Package stats provides the measurement primitives used across the
 // simulator: counters keyed by name, time series with fixed-width buckets,
-// and simple histograms. All of them are plain accumulators; sampling policy
-// belongs to the components that own them.
+// and a streaming mean/variance. All of them are plain accumulators;
+// sampling policy belongs to the components that own them.
 package stats
 
 import (
@@ -213,70 +213,3 @@ func (w *Welford) Min() float64 { return w.minV }
 
 // Max reports the largest sample (0 if empty).
 func (w *Welford) Max() float64 { return w.maxV }
-
-// Histogram is a fixed-bound bucket histogram for durations (e.g. latency).
-type Histogram struct {
-	bounds []units.Duration // upper bounds, ascending
-	counts []int64          // len(bounds)+1, last is overflow
-	total  int64
-	sum    units.Duration
-	max    units.Duration
-}
-
-// NewHistogram creates a histogram with the given ascending upper bounds.
-func NewHistogram(bounds ...units.Duration) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("stats: histogram bounds must be strictly ascending")
-		}
-	}
-	return &Histogram{bounds: bounds, counts: make([]int64, len(bounds)+1)}
-}
-
-// Observe records one duration.
-func (h *Histogram) Observe(d units.Duration) {
-	i := sort.Search(len(h.bounds), func(i int) bool { return d <= h.bounds[i] })
-	h.counts[i]++
-	h.total++
-	h.sum += d
-	if d > h.max {
-		h.max = d
-	}
-}
-
-// Count reports the number of observations.
-func (h *Histogram) Count() int64 { return h.total }
-
-// Mean reports the mean observation (0 if empty).
-func (h *Histogram) Mean() units.Duration {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / units.Duration(h.total)
-}
-
-// Max reports the largest observation.
-func (h *Histogram) Max() units.Duration { return h.max }
-
-// Quantile reports an upper bound for the q-quantile (0<=q<=1) using the
-// bucket upper bounds; observations above the last bound report the max.
-func (h *Histogram) Quantile(q float64) units.Duration {
-	if h.total == 0 {
-		return 0
-	}
-	target := int64(q * float64(h.total))
-	if target >= h.total {
-		target = h.total - 1
-	}
-	var cum int64
-	for i, c := range h.counts {
-		cum += c
-		if cum > target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.max
-		}
-	}
-	return h.max
-}

@@ -51,7 +51,9 @@ func (h *Hypervisor) bindMSI(d *Domain, source string, rid uint16, handler func(
 	if err != nil {
 		return nil, err
 	}
-	h.Tracer.Emitf(h.eng.Now(), "irq", "bind", "%s vector=%d dom=%s", source, v, d.Name)
+	if tr := h.Trace; tr != nil {
+		tr.Emit(h.eng.Now(), "irq", "bind", fmt.Sprintf("%s vector=%d dom=%s", source, v, d.Name))
+	}
 	b := &MSIBinding{hv: h, dom: d, vector: v, source: source, rid: rid}
 	if rid != 0 {
 		h.mmu.ProgramIRTE(uint8(v), rid)
@@ -330,7 +332,9 @@ func (h *Hypervisor) GuestConfigAccess(d *Domain, writes int) {
 // after the signalling latency; the caller's done callback (if any) runs
 // after the handler, modeling the guest completing the removal.
 func (h *Hypervisor) HotplugRemove(d *Domain, fn interface{ Name() string }, done func()) {
-	h.Tracer.Emitf(h.eng.Now(), "hotplug", "remove-signalled", "dom=%s", d.Name)
+	if tr := h.Trace; tr != nil {
+		tr.Emit(h.eng.Now(), "hotplug", "remove-signalled", "dom="+d.Name)
+	}
 	h.eng.After(model.HotplugEventLatency, "vmm:hotremove", func() {
 		h.ChargeDom0(Dom0DeviceModel, 20000) // ACPI GPE emulation
 		if d.HotplugHandler != nil {
@@ -344,7 +348,9 @@ func (h *Hypervisor) HotplugRemove(d *Domain, fn interface{ Name() string }, don
 
 // HotplugAdd signals a virtual hot-add event.
 func (h *Hypervisor) HotplugAdd(d *Domain, done func()) {
-	h.Tracer.Emitf(h.eng.Now(), "hotplug", "add-signalled", "dom=%s", d.Name)
+	if tr := h.Trace; tr != nil {
+		tr.Emit(h.eng.Now(), "hotplug", "add-signalled", "dom="+d.Name)
+	}
 	h.eng.After(model.HotplugEventLatency, "vmm:hotadd", func() {
 		h.ChargeDom0(Dom0DeviceModel, 20000)
 		if d.HotplugHandler != nil {

@@ -25,7 +25,6 @@ import (
 	"repro/internal/pcie"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -239,10 +238,10 @@ type Hypervisor struct {
 	dom0Slots [numDom0Categories]cpu.Slot
 	// Counters holds miscellaneous event counts.
 	Counters *stats.Counters
-	// Tracer, when set, records control-plane events (assignment,
-	// hot-plug, migration pauses, interrupt bindings) for debugging.
-	// A nil tracer costs nothing.
-	Tracer *trace.Buffer
+	// Trace, when set, records control-plane events (assignment,
+	// hot-plug, migration pauses, interrupt bindings). A nil sink costs
+	// one branch and no allocation.
+	Trace *obs.Sink
 
 	// Obs, when set, mirrors per-reason exit counts into named counters
 	// ("vmm.exits.<reason>") so the metrics pipeline sees them without
@@ -371,7 +370,9 @@ func (h *Hypervisor) DestroyDomain(d *Domain) {
 // domain's interrupts stay pending and its handlers do not run.
 func (h *Hypervisor) SetPaused(d *Domain, p bool) {
 	d.paused = p
-	h.Tracer.Emitf(h.eng.Now(), "domain", "set-paused", "%s paused=%v", d.Name, p)
+	if tr := h.Trace; tr != nil {
+		tr.Emit(h.eng.Now(), "domain", "set-paused", fmt.Sprintf("%s paused=%v", d.Name, p))
+	}
 }
 
 // ---- PCI passthrough ----
@@ -391,7 +392,9 @@ func (h *Hypervisor) AssignDevice(d *Domain, fn *pcie.Function) error {
 	}
 	d.assigned = append(d.assigned, fn)
 	h.Counters.Add("assign", 1)
-	h.Tracer.Emitf(h.eng.Now(), "passthrough", "assign", "%s -> %s", fn, d.Name)
+	if tr := h.Trace; tr != nil {
+		tr.Emit(h.eng.Now(), "passthrough", "assign", fmt.Sprintf("%s -> %s", fn, d.Name))
+	}
 	return nil
 }
 
@@ -406,7 +409,9 @@ func (h *Hypervisor) UnassignDevice(d *Domain, fn *pcie.Function) {
 		}
 	}
 	h.Counters.Add("unassign", 1)
-	h.Tracer.Emitf(h.eng.Now(), "passthrough", "unassign", "%s from %s", fn, d.Name)
+	if tr := h.Trace; tr != nil {
+		tr.Emit(h.eng.Now(), "passthrough", "unassign", fmt.Sprintf("%s from %s", fn, d.Name))
+	}
 }
 
 // DMACheckFor returns a closure validating one DMA delivery into the

@@ -1,15 +1,16 @@
 package vmm
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cpu"
 	"repro/internal/iommu"
 	"repro/internal/mem"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/pcie"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -425,7 +426,7 @@ func TestComplexEOIWriterRisk(t *testing.T) {
 
 func TestControlPlaneTracing(t *testing.T) {
 	b := newBed(AllOptimizations)
-	b.hv.Tracer = trace.NewBuffer(64)
+	b.hv.Trace = obs.NewSink(64, 0)
 	g := b.guest(t, "guest-1", HVM, Kernel2628)
 	fn := pcie.NewFunction("vf", pcie.MakeRID(1, 0, 0), 0x8086, 0x10ca)
 	if err := b.hv.AssignDevice(g, fn); err != nil {
@@ -435,14 +436,37 @@ func TestControlPlaneTracing(t *testing.T) {
 	_ = bind
 	b.hv.SetPaused(g, true)
 	b.hv.UnassignDevice(g, fn)
-	ev := b.hv.Tracer.Events()
+	ev := b.hv.Trace.Events()
 	if len(ev) < 4 {
 		t.Fatalf("traced events = %d: %v", len(ev), ev)
 	}
-	if len(b.hv.Tracer.Grep("assign")) < 2 {
+	count := func(substr string) (n int) {
+		for _, e := range ev {
+			if strings.Contains(e.String(), substr) {
+				n++
+			}
+		}
+		return n
+	}
+	if count("assign") < 2 {
 		t.Fatal("assign/unassign not traced")
 	}
-	if len(b.hv.Tracer.Grep("paused=true")) != 1 {
+	if count("paused=true") != 1 {
 		t.Fatal("pause not traced")
+	}
+}
+
+// TestSetPausedNilTraceZeroAllocs pins the tracing-off cost of an event
+// site with a formatted detail: with no sink installed, SetPaused must not
+// box its arguments for a Sprintf that never runs.
+func TestSetPausedNilTraceZeroAllocs(t *testing.T) {
+	b := newBed(AllOptimizations)
+	g := b.guest(t, "guest-1", HVM, Kernel2628)
+	paused := false
+	if n := testing.AllocsPerRun(100, func() {
+		paused = !paused
+		b.hv.SetPaused(g, paused)
+	}); n != 0 {
+		t.Fatalf("SetPaused with a nil sink: %.0f allocs/op, want 0", n)
 	}
 }

@@ -34,8 +34,8 @@ import (
 	"repro/internal/migration"
 	"repro/internal/model"
 	"repro/internal/netstack"
+	"repro/internal/obs"
 	"repro/internal/report"
-	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/vmm"
 	"repro/internal/workload"
@@ -254,8 +254,8 @@ type (
 	FaultScenario = fault.Scenario
 	// FaultKind enumerates the injectable fault types.
 	FaultKind = fault.Kind
-	// TraceBuffer records timestamped simulation events.
-	TraceBuffer = trace.Buffer
+	// TraceBuffer records timestamped simulation events and packet spans.
+	TraceBuffer = obs.Sink
 )
 
 // Fault kinds.
@@ -270,18 +270,20 @@ const (
 
 // NewFaultInjector creates an injector watching every port of the testbed;
 // FaultScenario.Port indexes the testbed's ports. tracer may be nil — pass
-// the same buffer to Testbed.SetTracer to interleave injections with the
+// the same buffer to Testbed.SetTrace to interleave injections with the
 // device- and driver-side recovery events.
 func NewFaultInjector(tb *Testbed, tracer *TraceBuffer) *FaultInjector {
-	in := fault.NewInjector(tb.Eng, tracer)
+	in := fault.NewInjector(tb.Eng)
+	in.Trace = tracer
 	for i := range tb.Ports {
 		in.Watch(tb.Ports[i], tb.PFs[i])
 	}
 	return in
 }
 
-// NewTrace creates a trace buffer holding up to capacity events.
-func NewTrace(capacity int) *TraceBuffer { return trace.NewBuffer(capacity) }
+// NewTrace creates a trace buffer holding up to capacity events and
+// capacity packet spans.
+func NewTrace(capacity int) *TraceBuffer { return obs.NewSink(capacity, capacity) }
 
 // Chaos: seeded randomized fault campaigns and system-wide invariant audits.
 type (
